@@ -15,17 +15,8 @@ from .errors import (
     InvalidInputError,
     ParseError,
 )
-from .tensor_ops import fold, frobenius_norm, project_missing, project_observed, unfold
-from .shrinkage import (
-    TruncationSpec,
-    svt,
-    tensor_truncated_nuclear_norm,
-    thin_svd,
-    truncated_nuclear_norm,
-    truncated_svt,
-    truncation_for_mode,
-    weighted_svt,
-)
+from .tensor_ops import fold, frobenius_norm, project_observed, unfold
+from .shrinkage import svt, thin_svd, truncated_svt, truncation_for_mode, weighted_svt
 from .solver import SolverConfig, SolverResult, SolverState, solve, solve_halrtc
 from .masks import MissingScenario, generate_nm_mask, generate_rm_mask, scenario_mask
 from .metrics import mape, rmse
@@ -54,12 +45,8 @@ __all__ = [
     "unfold",
     "fold",
     "project_observed",
-    "project_missing",
     "frobenius_norm",
-    "TruncationSpec",
     "thin_svd",
-    "truncated_nuclear_norm",
-    "tensor_truncated_nuclear_norm",
     "truncation_for_mode",
     "truncated_svt",
     "svt",

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .data_io import load_run_config, load_tensor, save_tensor
+from .data_io import FORMATS, load_run_config, load_tensor, save_tensor
 from .errors import CompletionError, ConfigError, ParseError
 from .experiments import (
     DEFAULT_THETA_GRID,
@@ -23,16 +23,20 @@ from .experiments import (
     write_report_csv,
     write_report_json,
 )
-from .masks import MissingScenario
-from .solver import SolverConfig, solve, solve_halrtc
+from .masks import PATTERNS, MissingScenario
+from .solver import SOLVER_NAMES, SolverConfig, solve, solver_config
 from .synthetic import synth_lowrank
 
 JOBS_ENV_VAR = "LRTC_JOBS"
 
+# SolverConfig fields of the penalty schedule and the stopping rule; each is
+# one flag (``--rho-max`` for ``rho_max``) typed like the field's default.
+SCHEDULE_FIELDS = ("rho0", "rho_max", "rho_mult", "epsilon", "max_iter")
+
 
 def _add_input_flags(parser, required=True):
     parser.add_argument("--input", required=required, help="tensor file to load")
-    parser.add_argument("--format", choices=("dense", "csv"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument(
         "--dims",
         nargs=2,
@@ -43,13 +47,10 @@ def _add_input_flags(parser, required=True):
     )
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--theta", type=float, default=None)
-    parser.add_argument("--rho0", type=float, default=None)
-    parser.add_argument("--rho-max", type=float, default=None)
-    parser.add_argument("--rho-mult", type=float, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--max-iter", type=int, default=None)
+def _add_schedule_flags(parser):
+    for name in SCHEDULE_FIELDS:
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, type=type(getattr(SolverConfig, name)), default=None)
 
 
 def build_parser():
@@ -61,8 +62,9 @@ def build_parser():
 
     p_impute = sub.add_parser("impute", help="complete one tensor file")
     _add_input_flags(p_impute)
-    _add_solver_flags(p_impute)
-    p_impute.add_argument("--solver", choices=("tnn", "halrtc"), default=None)
+    p_impute.add_argument("--theta", type=float, default=None)
+    _add_schedule_flags(p_impute)
+    p_impute.add_argument("--solver", choices=SOLVER_NAMES, default=None)
     p_impute.add_argument("--output", required=True)
     p_impute.add_argument("--trace-output", default=None)
     p_impute.add_argument("--config", default=None, help="run-configuration file")
@@ -80,33 +82,25 @@ def build_parser():
     )
     p_bench.add_argument("--offset", type=float, default=10.0)
     p_bench.add_argument("--synth-seed", type=int, default=0)
-    p_bench.add_argument("--pattern", nargs="+", choices=("rm", "nm"), default=None)
+    p_bench.add_argument("--pattern", nargs="+", choices=PATTERNS, default=None)
     p_bench.add_argument("--rate", nargs="+", type=float, default=None)
     p_bench.add_argument("--seed", nargs="+", type=int, default=None)
     p_bench.add_argument("--theta", nargs="+", type=float, default=None)
-    p_bench.add_argument("--solver", nargs="+", choices=("tnn", "halrtc"), default=None)
+    p_bench.add_argument("--solver", nargs="+", choices=SOLVER_NAMES, default=None)
     p_bench.add_argument("--report", required=True)
     p_bench.add_argument("--jobs", type=int, default=None)
-    p_bench.add_argument("--rho0", type=float, default=None)
-    p_bench.add_argument("--rho-max", type=float, default=None)
-    p_bench.add_argument("--rho-mult", type=float, default=None)
-    p_bench.add_argument("--epsilon", type=float, default=None)
-    p_bench.add_argument("--max-iter", type=int, default=None)
+    _add_schedule_flags(p_bench)
     p_bench.add_argument("--config", default=None)
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_cv = sub.add_parser("cv", help="cross-validate theta on one scenario")
     _add_input_flags(p_cv)
-    p_cv.add_argument("--pattern", choices=("rm", "nm"), default=None)
+    p_cv.add_argument("--pattern", choices=PATTERNS, default=None)
     p_cv.add_argument("--rate", type=float, default=None)
     p_cv.add_argument("--seed", type=int, default=None)
     p_cv.add_argument("--grid", nargs="+", type=float, default=None)
     p_cv.add_argument("--holdout-fraction", type=float, default=None)
-    p_cv.add_argument("--rho0", type=float, default=None)
-    p_cv.add_argument("--rho-max", type=float, default=None)
-    p_cv.add_argument("--rho-mult", type=float, default=None)
-    p_cv.add_argument("--epsilon", type=float, default=None)
-    p_cv.add_argument("--max-iter", type=int, default=None)
+    _add_schedule_flags(p_cv)
     p_cv.add_argument("--config", default=None)
     p_cv.set_defaults(func=cmd_cv)
 
@@ -117,56 +111,35 @@ def build_parser():
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--ones-factors", action="store_true")
     p_synth.add_argument("--output", required=True)
-    p_synth.add_argument("--format", choices=("dense", "csv"), default="dense")
+    p_synth.add_argument("--format", choices=FORMATS, default="dense")
     p_synth.set_defaults(func=cmd_synth)
 
     return parser
 
 
-# argparse dest -> run-config key, for filling unset flags from --config.
-_CONFIG_DESTS = {
-    "theta": "theta",
-    "rho0": "rho0",
-    "rho_max": "rho_max",
-    "rho_mult": "rho_mult",
-    "epsilon": "epsilon",
-    "max_iter": "max_iter",
-    "pattern": "pattern",
-    "rate": "rate",
-    "seed": "seed",
-    "input": "input",
-    "format": "format",
-    "dims": "dims",
-    "output": "output",
-    "trace_output": "trace_output",
-    "report": "report",
-    "grid": "grid",
-    "holdout_fraction": "holdout_fraction",
-}
-
-
 def _apply_config_file(args):
+    """Fill every flag the command line left unset from the --config file.
+
+    Run-config keys are the flags' argparse dests; keys this subcommand has
+    no flag for are ignored.
+    """
     if getattr(args, "config", None) is None:
         return
-    file_values = load_run_config(args.config)
-    for dest, key in _CONFIG_DESTS.items():
-        if hasattr(args, dest) and getattr(args, dest) is None and key in file_values:
-            setattr(args, dest, file_values[key])
+    for key, value in load_run_config(args.config).items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, value)
 
 
-def _solver_config_from_args(args, theta):
-    kwargs = {"theta": theta}
-    for dest, field in (
-        ("rho0", "rho0"),
-        ("rho_max", "rho_max"),
-        ("rho_mult", "rho_mult"),
-        ("epsilon", "epsilon"),
-        ("max_iter", "max_iter"),
-    ):
-        value = getattr(args, dest, None)
-        if value is not None:
-            kwargs[field] = value
-    return SolverConfig(**kwargs)
+def _schedule_config(args, theta):
+    """SolverConfig at ``theta`` with every schedule flag that was given."""
+    given = {name: getattr(args, name) for name in SCHEDULE_FIELDS}
+    return SolverConfig(theta=theta, **{k: v for k, v in given.items() if v is not None})
+
+
+def _require_scenario_flags(args):
+    for name in ("pattern", "rate", "seed"):
+        if getattr(args, name) is None:
+            raise ConfigError(f"--{name} is required")
 
 
 def _load_input(args):
@@ -186,15 +159,14 @@ def _write_trace(path, result):
 def cmd_impute(args):
     _apply_config_file(args)
     solver = args.solver or "tnn"
-    if solver == "halrtc":
-        theta = 0.0
-    elif args.theta is None:
+    if solver == "tnn" and args.theta is None:
         raise ConfigError("--theta is required for the tnn solver")
-    else:
-        theta = args.theta
-    config = _solver_config_from_args(args, theta)
+    # Only tnn reads --theta; any other solver gets a placeholder that
+    # solver_config replaces.
+    theta = args.theta if solver == "tnn" else 0.0
+    config = solver_config(solver, _schedule_config(args, theta))
     tensor, mask = _load_input(args)
-    result = solve(tensor, mask, config) if solver == "tnn" else solve_halrtc(tensor, mask, config)
+    result = solve(tensor, mask, config)
     if not result.converged:
         print(
             f"warning: not converged after {result.iterations} iterations "
@@ -219,9 +191,7 @@ def _benchmark_source(args):
 
 def cmd_benchmark(args):
     _apply_config_file(args)
-    for flag, value in (("--pattern", args.pattern), ("--rate", args.rate), ("--seed", args.seed)):
-        if value is None:
-            raise ConfigError(f"{flag} is required")
+    _require_scenario_flags(args)
     patterns = args.pattern if isinstance(args.pattern, list) else [args.pattern]
     rates = args.rate if isinstance(args.rate, list) else [args.rate]
     seeds = args.seed if isinstance(args.seed, list) else [args.seed]
@@ -230,13 +200,12 @@ def cmd_benchmark(args):
 
     solver_runs = []
     for solver in solvers:
-        if solver == "halrtc":
-            solver_runs.append(("halrtc", _solver_config_from_args(args, 0.0)))
-        else:
-            if thetas is None:
-                raise ConfigError("--theta is required when benchmarking the tnn solver")
-            for theta in thetas:
-                solver_runs.append(("tnn", _solver_config_from_args(args, theta)))
+        if solver == "tnn" and thetas is None:
+            raise ConfigError("--theta is required when benchmarking the tnn solver")
+        # Only tnn reads --theta; any other solver runs once, and
+        # run_experiment maps its placeholder theta through solver_config.
+        for theta in thetas if solver == "tnn" else [0.0]:
+            solver_runs.append((solver, _schedule_config(args, theta)))
 
     data, native_mask = _benchmark_source(args)
     scenarios = [
@@ -274,12 +243,10 @@ def cmd_benchmark(args):
 
 def cmd_cv(args):
     _apply_config_file(args)
-    for flag, value in (("--pattern", args.pattern), ("--rate", args.rate), ("--seed", args.seed)):
-        if value is None:
-            raise ConfigError(f"{flag} is required")
+    _require_scenario_flags(args)
     grid = tuple(args.grid) if args.grid is not None else DEFAULT_THETA_GRID
     fraction = args.holdout_fraction if args.holdout_fraction is not None else 0.2
-    base = _solver_config_from_args(args, 0.0)
+    base = _schedule_config(args, 0.0)
     data, native_mask = _load_input(args)
     scenario = MissingScenario(pattern=args.pattern, rate=args.rate, seed=args.seed)
     best, scores = cross_validate_theta(

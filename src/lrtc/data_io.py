@@ -19,9 +19,13 @@ whose keys mirror the CLI flags; every value is range-checked while parsing so
 errors carry the offending line number.
 """
 
+import math
+
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import ConfigError, ParseError
+from .masks import PATTERNS
+from .tensor_ops import _check_pair, _check_tensor3
 
 FORMATS = ("dense", "csv")
 
@@ -90,17 +94,16 @@ def load_dense(path):
     return values.reshape(dims), observed.reshape(dims)
 
 
+def _check_output(tensor, mask):
+    """Both writers' input check: a third-order tensor, and a mask of its shape if any."""
+    if mask is None:
+        return _check_tensor3(tensor), None
+    return _check_pair(tensor, mask)
+
+
 def save_dense(path, tensor, mask=None):
     """Write dense format; missing entries become ``nan`` only when a mask is given."""
-    tensor = np.asarray(tensor, dtype=float)
-    if tensor.ndim != 3:
-        raise DimensionError(f"expected a third-order tensor, got ndim={tensor.ndim}")
-    if mask is not None:
-        mask = np.asarray(mask, bool)
-        if mask.shape != tensor.shape:
-            raise DimensionError(
-                f"mask shape {mask.shape} does not match tensor shape {tensor.shape}"
-            )
+    tensor, mask = _check_output(tensor, mask)
     n1, n2, n3 = tensor.shape
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{n1} {n2} {n3}\n")
@@ -167,12 +170,10 @@ def load_matrix_csv(path, days, intervals):
 
 def save_matrix_csv(path, tensor, mask=None):
     """Write the stacked locations x (days*intervals) CSV (no header row)."""
-    tensor = np.asarray(tensor, dtype=float)
-    if tensor.ndim != 3:
-        raise DimensionError(f"expected a third-order tensor, got ndim={tensor.ndim}")
+    tensor, mask = _check_output(tensor, mask)
     n1 = tensor.shape[0]
     flat = tensor.reshape(n1, -1)
-    flat_mask = None if mask is None else np.asarray(mask, bool).reshape(n1, -1)
+    flat_mask = None if mask is None else mask.reshape(n1, -1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in range(n1):
             if flat_mask is None:
@@ -208,6 +209,8 @@ def save_tensor(path, tensor, mask=None, fmt="dense"):
 
 def _cfg_float(token, low=None, high=None, low_open=False, high_open=False):
     value = float(token)
+    if not math.isfinite(value):
+        raise ValueError
     if low is not None and (value <= low if low_open else value < low):
         raise ValueError
     if high is not None and (value >= high if high_open else value > high):
@@ -230,14 +233,14 @@ _RUN_CONFIG_SCHEMA = {
     "rho_mult": (lambda t: _cfg_float(t, 1.0), "a float >= 1"),
     "epsilon": (lambda t: _cfg_float(t, 0.0, low_open=True), "a positive float"),
     "max_iter": (lambda t: _cfg_int(t, 1), "a positive integer"),
-    "pattern": (lambda t: _cfg_choice(t, ("rm", "nm")), "rm or nm"),
+    "pattern": (lambda t: _cfg_choice(t, PATTERNS), " or ".join(PATTERNS)),
     "rate": (
         lambda t: _cfg_float(t, 0.0, 1.0, low_open=True, high_open=True),
         "a float strictly between 0 and 1",
     ),
     "seed": (int, "an integer"),
     "input": (str, "a path"),
-    "format": (lambda t: _cfg_choice(t, FORMATS), "dense or csv"),
+    "format": (lambda t: _cfg_choice(t, FORMATS), " or ".join(FORMATS)),
     "dims": (
         lambda t: tuple(_cfg_int(x, 1) for x in _cfg_pair(t)),
         "two positive integers (days intervals)",

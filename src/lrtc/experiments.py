@@ -19,11 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DegenerateProblemError
-from .masks import MissingScenario, generate_nm_mask, generate_rm_mask, scenario_mask
+from .masks import MissingScenario, scenario_mask
 from .metrics import mape, rmse
-from .solver import SolverConfig, solve
-
-SOLVER_NAMES = ("tnn", "halrtc")
+from .solver import SolverConfig, solve, solver_config
 
 DEFAULT_THETA_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
@@ -71,14 +69,6 @@ def evaluation_mask(native_mask, scen_mask):
     return np.asarray(native_mask, bool) & ~np.asarray(scen_mask, bool)
 
 
-def _solver_config(config, solver):
-    if solver not in SOLVER_NAMES:
-        raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
-    if solver == "halrtc":
-        return replace(config, theta=0.0)
-    return config
-
-
 def run_experiment(data, native_mask, scenario, config, solver="tnn", solve_fn=None):
     """Mask, solve, and score one scenario; returns an EvaluationReport.
 
@@ -87,7 +77,7 @@ def run_experiment(data, native_mask, scenario, config, solver="tnn", solve_fn=N
     """
     data = np.asarray(data, dtype=float)
     native_mask = np.asarray(native_mask, bool)
-    cfg = _solver_config(config, solver)
+    cfg = solver_config(solver, config)
     scen = scenario_mask(data.shape, scenario)
     visible = native_mask & scen
     held_out = evaluation_mask(native_mask, scen)
@@ -112,12 +102,6 @@ def run_experiment(data, native_mask, scenario, config, solver="tnn", solve_fn=N
         wall_time=wall_time,
         n_eval=int(held_out.sum()),
     )
-
-
-def _pattern_mask(pattern, dims, rate, seed):
-    if pattern == "rm":
-        return generate_rm_mask(dims, rate, seed)
-    return generate_nm_mask(dims, rate, seed)
 
 
 # Mixed into the cross-validation seed so the holdout stream never coincides
@@ -166,9 +150,8 @@ def cross_validate_theta(
     native_mask = np.asarray(native_mask, bool)
     scen = scenario_mask(data.shape, scenario)
     visible = native_mask & scen
-    holdout_keep = _pattern_mask(
-        scenario.pattern, data.shape, validation_fraction, _holdout_seed(seed)
-    )
+    holdout = MissingScenario(scenario.pattern, validation_fraction, _holdout_seed(seed))
+    holdout_keep = scenario_mask(data.shape, holdout)
     val_mask = visible & ~holdout_keep
     train_mask = visible & holdout_keep
     if not val_mask.any():

@@ -1,24 +1,24 @@
-"""Singular-value norms and shrinkage kernels.
+"""Shrinkage kernels and the truncation rule that feeds them.
 
-Implements the truncated nuclear norm on matrices and tensors, the universal
-truncation-rate rule that fixes the per-mode truncation level, and the
-generalized singular value thresholding operator that solves
+Implements the universal truncation-rate rule that fixes the per-mode
+truncation level, and the generalized singular value thresholding operator
+that solves
 
     min_X  alpha * ||X||_{trunc,*} + (rho / 2) * ||X - Z||_F^2
 
 in closed form: keep the ``trunc`` largest singular values of Z untouched and
-soft-threshold the rest by ``tau = alpha / rho``. All kernels are pure
-functions; per-mode shrinkages within a solver iteration may run concurrently.
+soft-threshold the rest by ``tau = alpha / rho``. ``svt`` and ``weighted_svt``
+are its plain and weighted relatives. All kernels are pure functions; per-mode
+shrinkages within a solver iteration may run concurrently.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .tensor_ops import MODES, _check_mode, unfold
+from .tensor_ops import _check_mode
 
 # Singular values below this are treated as exact zeros before shrinkage,
 # so numerical noise cannot masquerade as rank.
@@ -27,8 +27,6 @@ SIGMA_FLOOR = 1e-12
 # Products of theta with an integer bound are computed in floating point;
 # results within this distance of an integer are snapped to it before ceil.
 _CEIL_GUARD = 1e-9
-
-ALPHA_TOLERANCE = 1e-9
 
 
 def thin_svd(matrix):
@@ -53,15 +51,6 @@ def thin_svd(matrix):
     return u, sigma, vt
 
 
-def singular_values(matrix):
-    """Descending singular values of a matrix, floor-clamped like thin_svd."""
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.isfinite(matrix).all():
-        raise InvalidInputError("matrix contains non-finite entries")
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    return np.where(sigma < SIGMA_FLOOR, 0.0, sigma)
-
-
 def _check_trunc(matrix_shape, trunc):
     bound = min(matrix_shape)
     if not 0 <= int(trunc) == trunc:
@@ -72,17 +61,6 @@ def _check_trunc(matrix_shape, trunc):
             f"matrix (must stay below {bound})"
         )
     return int(trunc)
-
-
-def truncated_nuclear_norm(matrix, trunc):
-    """Sum of all singular values except the ``trunc`` largest.
-
-    ``trunc = 0`` gives the plain nuclear norm.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    trunc = _check_trunc(matrix.shape, trunc)
-    sigma = singular_values(matrix)
-    return float(sigma[trunc:].sum())
 
 
 def truncation_for_mode(dims, mode, theta, clamp=False):
@@ -115,37 +93,6 @@ def truncation_for_mode(dims, mode, theta, clamp=False):
         )
         trunc = bound - 1
     return trunc
-
-
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Universal truncation rate plus the per-mode levels it induces."""
-
-    theta: float
-    per_mode: tuple
-
-    @classmethod
-    def for_dims(cls, dims, theta, clamp=False):
-        per_mode = tuple(truncation_for_mode(dims, k, theta, clamp=clamp) for k in MODES)
-        return cls(theta=float(theta), per_mode=per_mode)
-
-
-def _check_alphas(alphas):
-    alphas = tuple(float(a) for a in alphas)
-    if len(alphas) != 3 or any(a < 0 for a in alphas):
-        raise ConfigError(f"need three nonnegative mode weights, got {alphas}")
-    if abs(sum(alphas) - 1.0) > ALPHA_TOLERANCE:
-        raise ConfigError(f"mode weights must sum to 1, got sum={sum(alphas)!r}")
-    return alphas
-
-
-def tensor_truncated_nuclear_norm(tensor, spec, alphas):
-    """Weighted sum of per-unfolding truncated nuclear norms."""
-    alphas = _check_alphas(alphas)
-    total = 0.0
-    for mode, alpha in zip(MODES, alphas):
-        total += alpha * truncated_nuclear_norm(unfold(tensor, mode), spec.per_mode[mode])
-    return total
 
 
 def truncated_svt(matrix, trunc, tau):

@@ -14,20 +14,36 @@ tensor ``m`` that pins the observed entries. Each iteration runs, in order:
 Convergence is declared when the relative change of consecutive recovered
 tensors, ``||m_new - m_old||_F / ||observed part of y||_F``, drops below
 ``epsilon``. The nuclear-norm solver (HaLRTC) is the ``theta = 0``
-configuration of the same iteration.
+configuration of the same iteration; ``solver_config`` is the one place that
+maps a solver name to the config it runs, and every caller goes through it.
 
 A solve call owns its state exclusively; independent calls are thread-safe.
 Given identical inputs and config the solver is deterministic (no randomness
 anywhere in the iteration).
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateProblemError, DimensionError, InvalidInputError
-from .shrinkage import _check_alphas, truncated_svt, truncation_for_mode
-from .tensor_ops import MODES, fold, frobenius_norm, project_observed, unfold
+from .errors import ConfigError, DegenerateProblemError, InvalidInputError
+from .shrinkage import truncated_svt, truncation_for_mode
+from .tensor_ops import MODES, _check_pair, fold, frobenius_norm, unfold
+
+SOLVER_NAMES = ("tnn", "halrtc")
+
+ALPHA_TOLERANCE = 1e-9
+
+
+def _check_alphas(alphas):
+    alphas = tuple(float(a) for a in alphas)
+    # Written so that a NaN weight fails every test.
+    if len(alphas) != 3 or not all(a >= 0 for a in alphas):
+        raise ConfigError(f"need three nonnegative mode weights, got {alphas}")
+    if not abs(sum(alphas) - 1.0) <= ALPHA_TOLERANCE:
+        raise ConfigError(f"mode weights must sum to 1, got sum={sum(alphas)!r}")
+    return alphas
 
 
 @dataclass(frozen=True)
@@ -38,6 +54,7 @@ class SolverConfig:
     the solver into plain nuclear-norm completion. The remaining defaults are
     the standard settings: equal mode weights, penalty growing 5% per
     iteration from 1e-5 up to 1e5, tolerance 1e-4, at most 200 iterations.
+    Every check fails on NaN; ``rho_max`` alone may be infinite (no cap).
     """
 
     theta: float
@@ -52,12 +69,12 @@ class SolverConfig:
         if not 0.0 <= self.theta < 1.0:
             raise ConfigError(f"theta must lie in [0, 1), got {self.theta}")
         object.__setattr__(self, "alphas", _check_alphas(self.alphas))
-        if not self.rho0 > 0:
-            raise ConfigError(f"rho0 must be positive, got {self.rho0}")
-        if self.rho_max < self.rho0:
+        if not 0.0 < self.rho0 < math.inf:
+            raise ConfigError(f"rho0 must be positive and finite, got {self.rho0}")
+        if not self.rho_max >= self.rho0:
             raise ConfigError(f"rho_max {self.rho_max} must be >= rho0 {self.rho0}")
-        if self.rho_mult < 1.0:
-            raise ConfigError(f"rho_mult must be >= 1, got {self.rho_mult}")
+        if not 1.0 <= self.rho_mult < math.inf:
+            raise ConfigError(f"rho_mult must be finite and >= 1, got {self.rho_mult}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
@@ -93,26 +110,16 @@ class SolverResult:
     converged: bool = False
 
 
-def _check_problem(y, mask):
-    y = np.asarray(y, dtype=float)
-    mask = np.asarray(mask)
-    if y.ndim != 3:
-        raise DimensionError(f"expected a third-order tensor, got ndim={y.ndim}")
-    if mask.shape != y.shape:
-        raise DimensionError(
-            f"mask shape {mask.shape} does not match tensor shape {y.shape}"
-        )
-    return y, mask.astype(bool, copy=False)
-
-
 def initialize(y, mask, config):
-    """Start state: m is the observed projection, x copies it, duals are zero."""
-    y, mask = _check_problem(y, mask)
+    """Start state: m is the observed projection, x copies it, duals are zero.
+
+    ``y`` and ``mask`` are a pair already passed through ``_check_pair``.
+    """
     if not mask.any():
         raise DegenerateProblemError("no observed entries; nothing to complete")
     if not np.isfinite(y[mask]).all():
         raise InvalidInputError("observed entries contain non-finite values")
-    m = project_observed(y, mask)
+    m = np.where(mask, y, 0.0)
     return SolverState(
         m=m,
         x=[m.copy() for _ in MODES],
@@ -140,15 +147,6 @@ def update_t(state, config):
     return [t + state.rho * (x - state.m) for x, t in zip(state.x, state.t)]
 
 
-def convergence_ratio(m_new, m_old, y, mask):
-    """Relative change of recovered tensors against the observed-data norm."""
-    y, mask = _check_problem(y, mask)
-    denom = float(np.linalg.norm(y[mask]))
-    if denom == 0.0:
-        raise DegenerateProblemError("observed entries have zero norm")
-    return frobenius_norm(np.asarray(m_new, float) - np.asarray(m_old, float)) / denom
-
-
 def solve(y, mask, config):
     """Complete a partially observed tensor.
 
@@ -165,7 +163,7 @@ def solve(y, mask, config):
     SolverResult. Non-convergence within ``max_iter`` is reported via
     ``converged=False``, never raised.
     """
-    y, mask = _check_problem(y, mask)
+    y, mask = _check_pair(y, mask)
     state = initialize(y, mask, config)
     obs_norm = float(np.linalg.norm(y[mask]))
     if obs_norm == 0.0:
@@ -198,10 +196,21 @@ def solve(y, mask, config):
     )
 
 
+def solver_config(solver, config):
+    """The config that the named solver runs.
+
+    tnn runs ``config`` as given; halrtc is the same iteration with theta
+    forced to 0, so it ignores ``config.theta``.
+    """
+    if solver not in SOLVER_NAMES:
+        raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
+    if solver == "halrtc":
+        return replace(config, theta=0.0)
+    return config
+
+
 def solve_halrtc(y, mask, config=None):
-    """Nuclear-norm completion: the same iteration with theta forced to 0."""
+    """Nuclear-norm completion: ``solve`` under the halrtc config."""
     if config is None:
         config = SolverConfig(theta=0.0)
-    else:
-        config = replace(config, theta=0.0)
-    return solve(y, mask, config)
+    return solve(y, mask, solver_config("halrtc", config))

@@ -84,6 +84,7 @@ def fold(matrix, mode, dims):
 
 
 def _check_pair(tensor, mask):
+    """The tensor as floats and its mask as bools; a mask of another shape raises."""
     tensor = _check_tensor3(tensor)
     mask = np.asarray(mask)
     if mask.shape != tensor.shape:
@@ -97,12 +98,6 @@ def project_observed(tensor, mask):
     """Keep observed entries, zero the rest."""
     tensor, mask = _check_pair(tensor, mask)
     return np.where(mask, tensor, 0.0)
-
-
-def project_missing(tensor, mask):
-    """Keep missing entries, zero the observed ones (complement projection)."""
-    tensor, mask = _check_pair(tensor, mask)
-    return np.where(mask, 0.0, tensor)
 
 
 def frobenius_norm(tensor):

@@ -121,6 +121,15 @@ class TestImputeCommand:
         assert out_cfg.read_bytes() == out_flag.read_bytes()
 
 
+    def test_halrtc_ignores_theta(self, synth_file, tmp_path):
+        out_a = tmp_path / "a.txt"
+        out_b = tmp_path / "b.txt"
+        argv = ["impute", "--input", str(synth_file), "--solver", "halrtc"]
+        assert main(argv + ["--theta", "1.5", "--output", str(out_a)]) == 0
+        assert main(argv + ["--output", str(out_b)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
+
 class TestBenchmarkCommand:
     def test_single_run_single_row(self, synth_file, tmp_path):
         report = tmp_path / "report.csv"
@@ -190,6 +199,27 @@ class TestBenchmarkCommand:
         )
         assert rc == 0
         assert len(report.read_text(encoding="utf-8").splitlines()) == 3
+
+
+    def test_halrtc_ignores_theta(self, tmp_path):
+        rc = main(
+            [
+                "benchmark", "--synth", "6", "5", "8", "2", "--pattern", "rm", "--rate", "0.3",
+                "--seed", "1", "--solver", "halrtc", "--theta", "1.5", "--max-iter", "30",
+                "--report", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert rc == 0
+
+    @pytest.mark.parametrize("flag", ["--rho-mult", "--rho-max"])
+    def test_nan_schedule_flag_is_config_error(self, tmp_path, flag):
+        rc = main(
+            [
+                "benchmark", "--synth", "8", "6", "10", "2", "--pattern", "rm", "--rate", "0.3",
+                "--seed", "1", "--theta", "0.1", "--report", str(tmp_path / "r.csv"), flag, "nan",
+            ]
+        )
+        assert rc == 3
 
 
 class TestCvCommand:

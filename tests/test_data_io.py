@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lrtc import ConfigError, ParseError, load_run_config, load_tensor, save_tensor
+from lrtc import ConfigError, DimensionError, ParseError, load_run_config, load_tensor, save_tensor
 from lrtc.data_io import load_dense, load_matrix_csv, save_dense, save_matrix_csv
 
 
@@ -168,6 +168,14 @@ class TestDispatch:
         with pytest.raises(ConfigError):
             save_tensor(tmp_path / "x", np.zeros((1, 1, 1)), fmt="parquet")
 
+    @pytest.mark.parametrize("fmt", ["dense", "csv"])
+    def test_writers_reject_mismatched_mask(self, tmp_path, fmt):
+        tensor = np.zeros((2, 3, 4))
+        # a transposed mask holds as many entries; a (2, 3, 5) mask holds more
+        for mask in (np.ones((4, 3, 2), bool), np.ones((2, 3, 5), bool)):
+            with pytest.raises(DimensionError):
+                save_tensor(tmp_path / "x", tensor, mask=mask, fmt=fmt)
+
 
 @st.composite
 def masked_tensors(draw):
@@ -234,7 +242,16 @@ class TestRunConfigFile:
 
     def test_constraints_checked_at_parse(self, tmp_path):
         path = tmp_path / "run.cfg"
-        for line in ("rate = 1.0", "max_iter = 0", "pattern = block", "rho_mult = 0.5"):
+        for line in (
+            "rate = 1.0",
+            "max_iter = 0",
+            "pattern = block",
+            "rho_mult = 0.5",
+            "rho_mult = nan",
+            "rho_max = inf",
+            "theta = nan",
+            "rate = nan",
+        ):
             path.write_text(line + "\n", encoding="utf-8")
             with pytest.raises(ParseError, match=":1"):
                 load_run_config(path)

@@ -4,11 +4,8 @@ import pytest
 from lrtc import (
     ConfigError,
     InvalidInputError,
-    TruncationSpec,
     svt,
-    tensor_truncated_nuclear_norm,
     thin_svd,
-    truncated_nuclear_norm,
     truncated_svt,
     truncation_for_mode,
     weighted_svt,
@@ -43,39 +40,9 @@ class TestThinSvd:
             thin_svd(np.array([[1.0, np.nan]]))
 
 
-class TestTruncatedNuclearNorm:
-    def test_diagonal_hand_case(self):
-        # singular values of diag(3, 1) are (3, 1)
-        assert truncated_nuclear_norm(DIAG31, 1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_no_truncation_is_nuclear_norm(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((5, 3))
-        expected = np.linalg.svd(a, compute_uv=False).sum()
-        assert truncated_nuclear_norm(a, 0) == pytest.approx(expected, rel=1e-12)
-
-    def test_zero_matrix(self):
-        assert truncated_nuclear_norm(np.zeros((4, 6)), 2) == 0.0
-
-    def test_truncation_too_large(self):
-        with pytest.raises(ConfigError):
-            truncated_nuclear_norm(np.ones((3, 5)), 3)
-        with pytest.raises(ConfigError):
-            truncated_nuclear_norm(DIAG31, -1)
-
-    def test_monotone_in_truncation(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((6, 4))
-        values = [truncated_nuclear_norm(a, r) for r in range(4)]
-        full = truncated_nuclear_norm(a, 0)
-        for r in range(3):
-            assert values[r + 1] <= values[r] + 1e-12
-            assert values[r] <= full + 1e-12
-
-
 class TestTruncationForMode:
     def test_hand_cases(self):
-        assert truncation_for_mode((214, 61, 144), 0, 0.30) == 65
+        assert [truncation_for_mode((214, 61, 144), k, 0.30) for k in (0, 1, 2)] == [65, 19, 44]
         assert truncation_for_mode((30, 77, 18), 2, 0.05) == 1
 
     def test_zero_theta(self):
@@ -104,65 +71,6 @@ class TestTruncationForMode:
         for theta in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
                 truncation_for_mode((4, 4, 4), 0, theta)
-
-    def test_spec_for_dims(self):
-        spec = TruncationSpec.for_dims((214, 61, 144), 0.30)
-        assert spec.per_mode == (65, 19, 44)
-        assert TruncationSpec.for_dims((214, 61, 144), 0.0).per_mode == (0, 0, 0)
-
-
-class TestTensorTruncatedNuclearNorm:
-    def test_zero_tensor(self):
-        spec = TruncationSpec.for_dims((3, 4, 5), 0.2)
-        assert tensor_truncated_nuclear_norm(np.zeros((3, 4, 5)), spec, (1 / 3,) * 3) == 0.0
-
-    def test_theta_zero_is_mean_nuclear_norm(self):
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal((3, 4, 5))
-        spec = TruncationSpec.for_dims(x.shape, 0.0)
-        # independent bijection: C-order unfolding has the same singular values
-        norms = [
-            np.linalg.svd(np.moveaxis(x, mode, 0).reshape(x.shape[mode], -1),
-                          compute_uv=False).sum()
-            for mode in (0, 1, 2)
-        ]
-        expected = sum(norms) / 3.0
-        assert tensor_truncated_nuclear_norm(x, spec, (1 / 3,) * 3) == pytest.approx(
-            expected, rel=1e-10
-        )
-
-    def test_rank_one_fully_truncated(self):
-        rng = np.random.default_rng(15)
-        a, b, c = (rng.standard_normal(3) for _ in range(3))
-        a, b, c = (v / np.linalg.norm(v) for v in (a, b, c))
-        x = np.einsum("i,j,k->ijk", a, b, c)
-        spec = TruncationSpec.for_dims(x.shape, 0.5)
-        assert min(spec.per_mode) >= 1
-        value = tensor_truncated_nuclear_norm(x, spec, (1 / 3,) * 3)
-        assert value == pytest.approx(0.0, abs=1e-8)
-
-    def test_bad_weights(self):
-        spec = TruncationSpec.for_dims((3, 3, 3), 0.0)
-        with pytest.raises(ConfigError):
-            tensor_truncated_nuclear_norm(np.zeros((3, 3, 3)), spec, (0.5, 0.5, 0.5))
-        with pytest.raises(ConfigError):
-            tensor_truncated_nuclear_norm(np.zeros((3, 3, 3)), spec, (1.5, -0.5, 0.0))
-
-    def test_invariant_to_unfolding_convention(self):
-        # any fixed bijection leaves singular values unchanged, so the norm
-        # must agree with one computed over an independently coded unfolding
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal((3, 4, 5))
-        spec = TruncationSpec.for_dims(x.shape, 0.25)
-        alt = 0.0
-        for mode, trunc in zip((0, 1, 2), spec.per_mode):
-            sv = np.linalg.svd(
-                np.moveaxis(x, mode, 0).reshape(x.shape[mode], -1), compute_uv=False
-            )
-            alt += sv[trunc:].sum() / 3.0
-        assert tensor_truncated_nuclear_norm(x, spec, (1 / 3,) * 3) == pytest.approx(
-            alt, rel=1e-10
-        )
 
 
 class TestTruncatedSvt:

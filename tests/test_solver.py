@@ -14,14 +14,7 @@ from lrtc import (
     truncated_svt,
     unfold,
 )
-from lrtc.solver import (
-    SolverState,
-    convergence_ratio,
-    initialize,
-    update_m,
-    update_t,
-    update_x,
-)
+from lrtc.solver import SolverState, initialize, update_m, update_t, update_x
 
 
 def small_problem(seed=0, rate=0.4, dims=(12, 9, 15), rank=2):
@@ -51,11 +44,19 @@ class TestSolverConfig:
             {"theta": 0.1, "rho_mult": 0.9},
             {"theta": 0.1, "epsilon": 0.0},
             {"theta": 0.1, "max_iter": 0},
+            {"theta": 0.1, "rho_mult": float("nan")},
+            {"theta": 0.1, "rho_mult": float("inf")},
+            {"theta": 0.1, "rho_max": float("nan")},
+            {"theta": 0.1, "rho0": float("inf"), "rho_max": float("inf")},
+            {"theta": 0.1, "alphas": (float("nan"), 0.5, 0.5)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
+
+    def test_infinite_rho_max_is_no_cap(self):
+        assert SolverConfig(theta=0.1, rho_max=float("inf")).rho_max == float("inf")
 
 
 class TestInitialize:
@@ -191,35 +192,6 @@ class TestUpdateT:
         assert np.array_equal(np.stack(per_mode, axis=-1), stacked)
 
 
-class TestConvergenceRatio:
-    def test_no_change_is_zero(self):
-        y, mask = small_problem(seed=5)
-        m = np.ones(y.shape)
-        assert convergence_ratio(m, m.copy(), y, mask) == 0.0
-
-    def test_ratio_of_one(self):
-        y, mask = small_problem(seed=6)
-        obs_norm = float(np.linalg.norm(y[mask]))
-        delta = np.zeros(y.shape)
-        delta[0, 0, 0] = obs_norm
-        assert convergence_ratio(delta, np.zeros(y.shape), y, mask) == pytest.approx(1.0)
-
-    def test_homogeneous_in_difference(self):
-        y, mask = small_problem(seed=7)
-        rng = np.random.default_rng(9)
-        m_old = rng.standard_normal(y.shape)
-        delta = rng.standard_normal(y.shape)
-        r1 = convergence_ratio(m_old + delta, m_old, y, mask)
-        r2 = convergence_ratio(m_old + 2 * delta, m_old, y, mask)
-        assert r2 == pytest.approx(2 * r1, rel=1e-9)
-
-    def test_zero_norm_observations(self):
-        y = np.zeros((2, 2, 2))
-        mask = np.ones(y.shape, bool)
-        with pytest.raises(DegenerateProblemError):
-            convergence_ratio(y, y, y, mask)
-
-
 class TestSolve:
     def test_fully_observed_converges_immediately(self):
         y, _ = small_problem(seed=8)
@@ -276,6 +248,11 @@ class TestSolve:
         assert np.array_equal(a.recovered, b.recovered)
         assert a.trace == b.trace
         assert a.iterations == b.iterations
+
+    def test_zero_norm_observations(self):
+        y = np.zeros((2, 2, 2))
+        with pytest.raises(DegenerateProblemError):
+            solve(y, np.ones(y.shape, bool), SolverConfig(theta=0.1))
 
     def test_shape_mismatch(self):
         from lrtc import DimensionError
