@@ -42,7 +42,7 @@ class TestThinSvd:
 
 class TestTruncationForMode:
     def test_hand_cases(self):
-        assert [truncation_for_mode((214, 61, 144), k, 0.30) for k in (0, 1, 2)] == [65, 19, 44]
+        assert truncation_for_mode((214, 61, 144), 0, 0.30) == 65
         assert truncation_for_mode((30, 77, 18), 2, 0.05) == 1
 
     def test_zero_theta(self):
@@ -71,6 +71,11 @@ class TestTruncationForMode:
         for theta in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
                 truncation_for_mode((4, 4, 4), 0, theta)
+
+    def test_spec_for_dims(self):
+        dims = (214, 61, 144)
+        assert [truncation_for_mode(dims, k, 0.30) for k in (0, 1, 2)] == [65, 19, 44]
+        assert [truncation_for_mode(dims, k, 0.0) for k in (0, 1, 2)] == [0, 0, 0]
 
 
 class TestTruncatedSvt:
