@@ -15,9 +15,9 @@ from .errors import (
     InvalidInputError,
     ParseError,
 )
-from .tensor_ops import fold, frobenius_norm, project_observed, unfold
+from .tensor_ops import fold, frobenius_norm, unfold
 from .shrinkage import svt, thin_svd, truncated_svt, truncation_for_mode, weighted_svt
-from .solver import SolverConfig, SolverResult, SolverState, solve, solve_halrtc
+from .solver import SolverConfig, SolverResult, solve, solve_halrtc
 from .masks import MissingScenario, generate_nm_mask, generate_rm_mask, scenario_mask
 from .metrics import mape, rmse
 from .synthetic import synth_lowrank
@@ -44,7 +44,6 @@ __all__ = [
     "ParseError",
     "unfold",
     "fold",
-    "project_observed",
     "frobenius_norm",
     "thin_svd",
     "truncation_for_mode",
@@ -53,7 +52,6 @@ __all__ = [
     "weighted_svt",
     "SolverConfig",
     "SolverResult",
-    "SolverState",
     "solve",
     "solve_halrtc",
     "MissingScenario",

@@ -1,14 +1,17 @@
 """ADMM solver for tensor completion under truncated nuclear norm minimization.
 
 The consensus formulation carries one auxiliary tensor per mode plus a shared
-tensor ``m`` that pins the observed entries. Each iteration runs, in order:
+tensor ``m`` that pins the observed entries. ``solve`` holds the per-mode
+tensors ``x`` and duals ``t`` as one ``(3, n1, n2, n3)`` array each, allocated
+once and updated in place, and computes the per-mode truncation levels once,
+before the loop. Each iteration runs, in order:
 
-1. per-mode updates ``x_k = fold_k(truncated_svt(unfold_k(m - t_k / rho)))``,
-   each reading only the previous ``m`` and its own dual ``t_k`` (so the three
-   may run in any order, or concurrently);
-2. the consensus update ``m = mean_k(x_k) + mean_k(t_k) / rho`` followed by an
+1. ``update_x``: ``x[k] = fold_k(truncated_svt(unfold_k(m - t[k] / rho)))``,
+   each mode reading only the previous ``m`` and its own dual ``t[k]`` (so
+   the three may run in any order);
+2. ``update_m``: ``m = mean_k(x[k]) + mean_k(t[k]) / rho``, followed by an
    exact overwrite of the observed entries with the input values;
-3. dual ascent ``t_k += rho * (x_k - m)``;
+3. ``update_t``: dual ascent ``t[k] += rho * (x[k] - m)``;
 4. the penalty schedule ``rho = min(rho_mult * rho, rho_max)``.
 
 Convergence is declared when the relative change of consecutive recovered
@@ -81,17 +84,6 @@ class SolverConfig:
             raise ConfigError(f"max_iter must be a positive integer, got {self.max_iter}")
 
 
-@dataclass
-class SolverState:
-    """Mutable per-solve state; not shareable while a solve is running."""
-
-    m: np.ndarray
-    x: list
-    t: list
-    rho: float
-    iteration: int = 0
-
-
 @dataclass(frozen=True)
 class SolverResult:
     """Recovered tensor plus the convergence trace.
@@ -110,41 +102,25 @@ class SolverResult:
     converged: bool = False
 
 
-def initialize(y, mask, config):
-    """Start state: m is the observed projection, x copies it, duals are zero.
-
-    ``y`` and ``mask`` are a pair already passed through ``_check_pair``.
-    """
-    if not mask.any():
-        raise DegenerateProblemError("no observed entries; nothing to complete")
-    if not np.isfinite(y[mask]).all():
-        raise InvalidInputError("observed entries contain non-finite values")
-    m = np.where(mask, y, 0.0)
-    return SolverState(
-        m=m,
-        x=[m.copy() for _ in MODES],
-        t=[np.zeros_like(m) for _ in MODES],
-        rho=config.rho0,
-    )
+def update_x(x, m, t, rho, truncs, config):
+    """Shrinkage step: fill each ``x[mode]`` from the previous m and its own dual."""
+    for mode in MODES:
+        z = unfold(m - t[mode] / rho, mode)
+        x[mode] = fold(truncated_svt(z, truncs[mode], config.alphas[mode] / rho), mode, m.shape)
 
 
-def update_x(state, mode, config):
-    """Shrinkage step for one mode, reading only the previous m and own dual."""
-    trunc = truncation_for_mode(state.m.shape, mode, config.theta, clamp=True)
-    tau = config.alphas[mode] / state.rho
-    z = unfold(state.m - state.t[mode] / state.rho, mode)
-    return fold(truncated_svt(z, trunc, tau), mode, state.m.shape)
-
-
-def update_m(state, y, mask, config):
+def update_m(x, t, rho, y, mask):
     """Consensus average of the x and dual tensors, observed entries pinned to y."""
-    candidate = sum(state.x) / 3.0 + sum(state.t) / (3.0 * state.rho)
-    return np.where(mask, y, candidate)
+    m = sum(x) / 3.0
+    m += sum(t) / (3.0 * rho)
+    np.copyto(m, y, where=mask)
+    return m
 
 
-def update_t(state, config):
-    """Dual ascent against the fresh consensus tensor."""
-    return [t + state.rho * (x - state.m) for x, t in zip(state.x, state.t)]
+def update_t(t, x, m, rho):
+    """Dual ascent against the fresh consensus tensor, in place."""
+    for mode in MODES:
+        t[mode] += rho * (x[mode] - m)
 
 
 def solve(y, mask, config):
@@ -161,35 +137,45 @@ def solve(y, mask, config):
     Returns
     -------
     SolverResult. Non-convergence within ``max_iter`` is reported via
-    ``converged=False``, never raised.
+    ``converged=False``, never raised. A penalty that overflows to infinity
+    (possible only with ``rho_max = inf``) raises ``ConfigError``.
     """
     y, mask = _check_pair(y, mask)
-    state = initialize(y, mask, config)
+    if not mask.any():
+        raise DegenerateProblemError("no observed entries; nothing to complete")
+    if not np.isfinite(y[mask]).all():
+        raise InvalidInputError("observed entries contain non-finite values")
     obs_norm = float(np.linalg.norm(y[mask]))
     if obs_norm == 0.0:
         raise DegenerateProblemError("observed entries have zero norm")
 
+    truncs = [truncation_for_mode(y.shape, mode, config.theta, clamp=True) for mode in MODES]
+    m = np.where(mask, y, 0.0)
+    x = np.zeros((3, *y.shape))
+    t = np.zeros_like(x)
+    rho = config.rho0
     trace = []
     rho_trace = []
     converged = False
     for it in range(1, config.max_iter + 1):
-        m_old = state.m
-        state.x = [update_x(state, mode, config) for mode in MODES]
-        state.m = update_m(state, y, mask, config)
-        state.t = update_t(state, config)
-        state.rho = min(config.rho_mult * state.rho, config.rho_max)
-        state.iteration = it
+        m_old = m
+        update_x(x, m, t, rho, truncs, config)
+        m = update_m(x, t, rho, y, mask)
+        update_t(t, x, m, rho)
+        rho = min(config.rho_mult * rho, config.rho_max)
+        if not math.isfinite(rho):
+            raise ConfigError(f"rho overflowed to {rho} at iteration {it}; set a finite rho_max")
 
-        ratio = frobenius_norm(state.m - m_old) / obs_norm
+        ratio = frobenius_norm(m - m_old) / obs_norm
         trace.append(ratio)
-        rho_trace.append(state.rho)
+        rho_trace.append(rho)
         if ratio < config.epsilon:
             converged = True
             break
 
     return SolverResult(
-        recovered=state.m,
-        iterations=state.iteration,
+        recovered=m,
+        iterations=it,
         trace=trace,
         rho_trace=rho_trace,
         converged=converged,

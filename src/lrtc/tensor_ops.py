@@ -1,4 +1,4 @@
-"""Dense third-order tensor algebra: unfolding, folding, masked projections, norms.
+"""Dense third-order tensor algebra: unfolding, folding, the tensor/mask pair check, norms.
 
 Tensors are numpy float arrays of shape ``(n1, n2, n3)``. Observation masks are
 boolean arrays of the same shape, ``True`` where an entry is observed. The
@@ -92,12 +92,6 @@ def _check_pair(tensor, mask):
             f"mask shape {mask.shape} does not match tensor shape {tensor.shape}"
         )
     return tensor, mask.astype(bool, copy=False)
-
-
-def project_observed(tensor, mask):
-    """Keep observed entries, zero the rest."""
-    tensor, mask = _check_pair(tensor, mask)
-    return np.where(mask, tensor, 0.0)
 
 
 def frobenius_norm(tensor):

@@ -221,6 +221,16 @@ class TestBenchmarkCommand:
         )
         assert rc == 3
 
+    def test_rho_overflow_is_config_error(self, tmp_path):
+        rc = main(
+            [
+                "benchmark", "--synth", "8", "6", "10", "2", "--pattern", "rm", "--rate", "0.3",
+                "--seed", "1", "--theta", "0.1", "--rho-mult", "1e300", "--rho-max", "inf",
+                "--report", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert rc == 3
+
 
 class TestCvCommand:
     def test_table_and_selection(self, synth_file, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,18 @@ from lrtc import (
     DegenerateProblemError,
     InvalidInputError,
     SolverConfig,
+    fold,
     frobenius_norm,
+    generate_nm_mask,
     generate_rm_mask,
     solve,
     solve_halrtc,
     synth_lowrank,
     truncated_svt,
+    truncation_for_mode,
     unfold,
 )
-from lrtc.solver import SolverState, initialize, update_m, update_t, update_x
+from lrtc.solver import update_m, update_t, update_x
 
 
 def small_problem(seed=0, rate=0.4, dims=(12, 9, 15), rank=2):
@@ -59,53 +64,50 @@ class TestSolverConfig:
         assert SolverConfig(theta=0.1, rho_max=float("inf")).rho_max == float("inf")
 
 
-class TestInitialize:
+def truncs_for(shape, theta):
+    return [truncation_for_mode(shape, mode, theta, clamp=True) for mode in (0, 1, 2)]
+
+
+class TestStartState:
+    """solve starts from the observed entries with zeros elsewhere, zero duals and rho0."""
+
+    def first_iteration(self, y, mask, cfg):
+        x = np.empty((3, *y.shape))
+        t = np.zeros_like(x)
+        update_x(x, np.where(mask, y, 0.0), t, cfg.rho0, truncs_for(y.shape, cfg.theta), cfg)
+        return update_m(x, t, cfg.rho0, y, mask)
+
     def test_fully_observed(self):
         y, _ = small_problem()
         mask = np.ones(y.shape, bool)
-        state = initialize(y, mask, SolverConfig(theta=0.1))
-        assert np.array_equal(state.m, y)
-        assert all(np.array_equal(x, y) for x in state.x)
-        assert all(frobenius_norm(t) == 0.0 for t in state.t)
-        assert state.rho == 1e-5 and state.iteration == 0
+        cfg = SolverConfig(theta=0.1, max_iter=1)
+        result = solve(y, mask, cfg)
+        assert np.array_equal(result.recovered, self.first_iteration(y, mask, cfg))
+        assert np.array_equal(result.recovered, y)
+        assert result.rho_trace == [cfg.rho0 * cfg.rho_mult]
 
     def test_observed_entries_copied_exactly(self):
         y, mask = small_problem()
-        state = initialize(y, mask, SolverConfig(theta=0.1))
-        assert np.array_equal(state.m[mask], y[mask])
-        assert not state.m[~mask].any()
-
-    def test_empty_mask(self):
-        y, _ = small_problem()
-        with pytest.raises(DegenerateProblemError):
-            initialize(y, np.zeros(y.shape, bool), SolverConfig(theta=0.1))
-
-    def test_non_finite_observed(self):
-        y, mask = small_problem()
-        y[np.argwhere(mask)[0][0], 0, 0] = np.nan
-        mask[np.argwhere(mask)[0][0], 0, 0] = True
-        with pytest.raises(InvalidInputError):
-            initialize(y, mask, SolverConfig(theta=0.1))
-
-
-def make_state(m, rho, t=None):
-    t = t if t is not None else [np.zeros_like(m) for _ in range(3)]
-    return SolverState(m=m, x=[m.copy() for _ in range(3)], t=t, rho=rho)
+        cfg = SolverConfig(theta=0.1, max_iter=1)
+        result = solve(y, mask, cfg)
+        assert np.array_equal(result.recovered, self.first_iteration(y, mask, cfg))
+        assert np.array_equal(result.recovered[mask], y[mask])
 
 
 class TestUpdateX:
     def test_zero_shrinkage_limit(self):
         y, _ = small_problem()
-        state = make_state(y, rho=1e12)  # tau = alpha/rho -> 0
         cfg = SolverConfig(theta=0.1)
+        x = np.empty((3, *y.shape))
+        update_x(x, y, np.zeros_like(x), 1e12, truncs_for(y.shape, 0.1), cfg)  # tau -> 0
         for mode in (0, 1, 2):
-            out = update_x(state, mode, cfg)
-            assert np.allclose(out, y, rtol=1e-6, atol=1e-6)
+            assert np.allclose(x[mode], y, rtol=1e-6, atol=1e-6)
 
     def test_zero_state_stays_zero(self):
-        state = make_state(np.zeros((4, 5, 6)), rho=1.0)
-        for mode in (0, 1, 2):
-            assert np.array_equal(update_x(state, mode, SolverConfig(theta=0.1)), 0 * state.m)
+        m = np.zeros((4, 5, 6))
+        x = np.ones((3, *m.shape))
+        update_x(x, m, np.zeros_like(x), 1.0, truncs_for(m.shape, 0.1), SolverConfig(theta=0.1))
+        assert np.array_equal(x, np.zeros_like(x))
 
     def test_diagonal_structured_hand_case(self):
         # every unfolding of this tensor has singular values (3, 1); with
@@ -114,42 +116,52 @@ class TestUpdateX:
         m[0, 0, 0] = 3.0
         m[1, 1, 1] = 1.0
         cfg = SolverConfig(theta=0.5)  # ceil(0.5 * 2) = 1 kept per mode
-        state = make_state(m, rho=cfg.alphas[0])  # tau = alpha / rho = 1
+        x = np.empty((3, *m.shape))
+        update_x(x, m, np.zeros_like(x), cfg.alphas[0], truncs_for(m.shape, 0.5), cfg)  # tau = 1
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = 3.0
         for mode in (0, 1, 2):
-            out = update_x(state, mode, cfg)
-            assert np.allclose(out, expected, atol=1e-10)
+            assert np.allclose(x[mode], expected, atol=1e-10)
             # cross-check against the shrinkage kernel applied directly
             oracle = truncated_svt(unfold(m, mode), 1, 1.0)
-            assert np.allclose(unfold(out, mode), oracle, atol=1e-12)
+            assert np.allclose(unfold(x[mode], mode), oracle, atol=1e-12)
 
     def test_reads_only_previous_m_and_own_dual(self):
-        # identical results no matter in which order the three modes run
+        # each mode equals its own standalone step, run here in reverse
+        # order, so the result does not depend on the order of the modes
         y, mask = small_problem(seed=3)
-        state = initialize(y, mask, SolverConfig(theta=0.1))
-        state.rho = 0.01
-        state.t = [0.001 * np.ones_like(y) * (k + 1) for k in range(3)]
         cfg = SolverConfig(theta=0.1)
-        forward = [update_x(state, mode, cfg) for mode in (0, 1, 2)]
-        backward = [update_x(state, mode, cfg) for mode in (2, 1, 0)][::-1]
-        for a, b in zip(forward, backward):
-            assert np.array_equal(a, b)
+        truncs = truncs_for(y.shape, 0.1)
+        m = np.where(mask, y, 0.0)
+        rho = 0.01
+        t = np.stack([0.001 * np.ones_like(y) * (k + 1) for k in range(3)])
+        m_before, t_before = m.copy(), t.copy()
+        x = np.full((3, *y.shape), np.nan)
+        update_x(x, m, t, rho, truncs, cfg)
+        assert np.array_equal(m, m_before) and np.array_equal(t, t_before)
+        for mode in (2, 1, 0):
+            z = unfold(m - t[mode] / rho, mode)
+            own = fold(truncated_svt(z, truncs[mode], cfg.alphas[mode] / rho), mode, y.shape)
+            assert np.array_equal(x[mode], own)
+        t[1] += 5.0
+        other = np.empty_like(x)
+        update_x(other, m, t, rho, truncs, cfg)
+        assert np.array_equal(other[0], x[0]) and np.array_equal(other[2], x[2])
+        assert not np.array_equal(other[1], x[1])
 
 
 class TestUpdateM:
     def test_average_of_identical_terms(self):
         y, mask = small_problem(seed=1)
         common = np.full(y.shape, 2.5)
-        state = make_state(common, rho=0.3)
-        state.x = [common.copy() for _ in range(3)]
-        out = update_m(state, y, mask, SolverConfig(theta=0.1))
+        x = np.stack([common, common, common])
+        out = update_m(x, np.zeros_like(x), 0.3, y, mask)
         assert np.array_equal(out[~mask], common[~mask])
 
     def test_observed_entries_pinned(self):
         y, mask = small_problem(seed=2)
-        state = make_state(np.zeros(y.shape), rho=1.0)
-        out = update_m(state, y, mask, SolverConfig(theta=0.1))
+        x = np.zeros((3, *y.shape))
+        out = update_m(x, np.zeros_like(x), 1.0, y, mask)
         assert np.array_equal(out[mask], y[mask])
 
     def test_dual_only_candidate(self):
@@ -158,38 +170,34 @@ class TestUpdateM:
         mask = np.zeros(y.shape, bool)
         mask[0, 0, 0] = True
         rho = 0.7
-        state = make_state(np.zeros(y.shape), rho=rho, t=[np.full(y.shape, rho)] * 3)
-        state.x = [np.zeros(y.shape) for _ in range(3)]
-        out = update_m(state, y, mask, SolverConfig(theta=0.1))
+        x = np.zeros((3, *y.shape))
+        out = update_m(x, np.full_like(x, rho), rho, y, mask)
         assert np.allclose(out[~mask], 1.0)
 
 
 class TestUpdateT:
     def test_zero_residual_keeps_duals(self):
         y, _ = small_problem(seed=4)
-        state = make_state(y, rho=2.0, t=[np.full(y.shape, 0.25)] * 3)
-        state.x = [y.copy() for _ in range(3)]
-        for before, after in zip(state.t, update_t(state, SolverConfig(theta=0.1))):
-            assert np.array_equal(before, after)
+        t = np.full((3, *y.shape), 0.25)
+        update_t(t, np.stack([y, y, y]), y, 2.0)
+        assert np.array_equal(t, np.full_like(t, 0.25))
 
     def test_hand_computed_step(self):
         m = np.zeros((2, 3, 4))
-        state = make_state(m, rho=2.0)
-        state.x = [np.ones(m.shape) for _ in range(3)]  # x - m = 1 everywhere
-        for t_new in update_t(state, SolverConfig(theta=0.1)):
-            assert np.array_equal(t_new, np.full(m.shape, 2.0))
+        t = np.zeros((3, *m.shape))
+        update_t(t, np.ones_like(t), m, 2.0)  # x - m = 1 everywhere
+        assert np.array_equal(t, np.full_like(t, 2.0))
 
     def test_stacked_update_equals_per_mode(self):
         rng = np.random.default_rng(8)
         m = rng.standard_normal((3, 4, 2))
-        state = make_state(m, rho=1.3, t=[rng.standard_normal(m.shape) for _ in range(3)])
-        state.x = [rng.standard_normal(m.shape) for _ in range(3)]
-        per_mode = update_t(state, SolverConfig(theta=0.1))
-        stacked_t = np.stack(state.t, axis=-1)
-        stacked_x = np.stack(state.x, axis=-1)
-        stacked_m = np.stack([m] * 3, axis=-1)
-        stacked = stacked_t + state.rho * (stacked_x - stacked_m)
-        assert np.array_equal(np.stack(per_mode, axis=-1), stacked)
+        t_list = [rng.standard_normal(m.shape) for _ in range(3)]
+        x_list = [rng.standard_normal(m.shape) for _ in range(3)]
+        rho = 1.3
+        per_mode = [t_k + rho * (x_k - m) for x_k, t_k in zip(x_list, t_list)]
+        t = np.stack(t_list)
+        update_t(t, np.stack(x_list), m, rho)
+        assert np.array_equal(t, np.stack(per_mode))
 
 
 class TestSolve:
@@ -249,6 +257,36 @@ class TestSolve:
         assert a.trace == b.trace
         assert a.iterations == b.iterations
 
+    def test_empty_mask(self):
+        y, _ = small_problem()
+        with pytest.raises(DegenerateProblemError):
+            solve(y, np.zeros(y.shape, bool), SolverConfig(theta=0.1))
+
+    def test_non_finite_observed(self):
+        y, mask = small_problem()
+        y[np.argwhere(mask)[0][0], 0, 0] = np.nan
+        mask[np.argwhere(mask)[0][0], 0, 0] = True
+        with pytest.raises(InvalidInputError):
+            solve(y, mask, SolverConfig(theta=0.1))
+
+    def test_rho_overflow_is_config_error(self):
+        # 1e-5 * 1e300 = 1e295, then inf: the second step overflows
+        y, mask = small_problem(seed=10)
+        cfg = SolverConfig(theta=0.1, rho_mult=1e300, rho_max=float("inf"))
+        with pytest.raises(ConfigError, match="iteration 2.*finite rho_max"):
+            solve(y, mask, cfg)
+
+    def test_clamp_warns_once_per_saturating_mode(self):
+        y = synth_lowrank((2, 2, 3), 1, value_offset=1.0, seed=0)
+        mask = np.ones(y.shape, bool)
+        mask[0, 0, 0] = False
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = solve(y, mask, SolverConfig(theta=0.9, max_iter=10))
+        clamped = sorted(str(w.message).split()[1] for w in caught if "clamping" in str(w.message))
+        assert result.iterations > 1
+        assert clamped == ["mode-0", "mode-1", "mode-2"]
+
     def test_zero_norm_observations(self):
         y = np.zeros((2, 2, 2))
         with pytest.raises(DegenerateProblemError):
@@ -261,41 +299,73 @@ class TestSolve:
             solve(np.zeros((2, 2, 2)), np.ones((2, 3, 2), bool), SolverConfig(theta=0.1))
 
 
+def reference_solve(y, mask, cfg):
+    """The iteration in its per-mode list form, one fresh tensor per step."""
+    truncs = truncs_for(y.shape, cfg.theta)
+    m = np.where(mask, y, 0.0)
+    x = [m.copy() for _ in range(3)]
+    t = [np.zeros_like(m) for _ in range(3)]
+    rho = cfg.rho0
+    obs_norm = float(np.linalg.norm(y[mask]))
+    trace, rho_trace = [], []
+    for _ in range(cfg.max_iter):
+        m_old = m
+        x = [
+            fold(truncated_svt(unfold(m - t[k] / rho, k), truncs[k], cfg.alphas[k] / rho), k, m.shape)
+            for k in range(3)
+        ]
+        m = np.where(mask, y, sum(x) / 3.0 + sum(t) / (3.0 * rho))
+        t = [t_k + rho * (x_k - m) for x_k, t_k in zip(x, t)]
+        rho = min(cfg.rho_mult * rho, cfg.rho_max)
+        trace.append(frobenius_norm(m - m_old) / obs_norm)
+        rho_trace.append(rho)
+        if trace[-1] < cfg.epsilon:
+            break
+    return m, trace, rho_trace
+
+
 class TestSolveLoopInvariants:
-    """Drive the iteration manually through the public update steps."""
+    """Drive the iteration manually through the update steps."""
 
     def run_manual(self, y, mask, cfg):
-        state = initialize(y, mask, cfg)
+        """Every recovered tensor from the start state on, the last x and the trace."""
+        truncs = truncs_for(y.shape, cfg.theta)
+        ms = [np.where(mask, y, 0.0)]
+        x = np.zeros((3, *y.shape))
+        t = np.zeros_like(x)
+        rho = cfg.rho0
         obs_norm = float(np.linalg.norm(y[mask]))
         trace = []
         for _ in range(cfg.max_iter):
-            m_old = state.m
-            state.x = [update_x(state, mode, cfg) for mode in (0, 1, 2)]
-            state.m = update_m(state, y, mask, cfg)
-            state.t = update_t(state, cfg)
-            state.rho = min(cfg.rho_mult * state.rho, cfg.rho_max)
-            state.iteration += 1
-            trace.append(frobenius_norm(state.m - m_old) / obs_norm)
+            update_x(x, ms[-1], t, rho, truncs, cfg)
+            ms.append(update_m(x, t, rho, y, mask))
+            update_t(t, x, ms[-1], rho)
+            rho = min(cfg.rho_mult * rho, cfg.rho_max)
+            trace.append(frobenius_norm(ms[-1] - ms[-2]) / obs_norm)
             if trace[-1] < cfg.epsilon:
                 break
-        return state, trace
+        return ms, x, trace
 
     def test_manual_loop_matches_solve(self):
-        y, mask = small_problem(seed=15)
-        cfg = SolverConfig(theta=0.1)
-        state, trace = self.run_manual(y, mask, cfg)
-        result = solve(y, mask, cfg)
-        assert np.array_equal(state.m, result.recovered)
-        assert trace == result.trace
+        y, _ = small_problem(seed=15)
+        for pattern in (generate_rm_mask, generate_nm_mask):
+            mask = pattern(y.shape, 0.4, seed=515)
+            for theta in (0.0, 0.1):
+                cfg = SolverConfig(theta=theta)
+                m, trace, rho_trace = reference_solve(y, mask, cfg)
+                result = solve(y, mask, cfg)
+                assert np.array_equal(m, result.recovered)
+                assert trace == result.trace
+                assert rho_trace == result.rho_trace
 
     def test_consensus_residual_small_at_convergence(self):
         y, mask = small_problem(seed=16, dims=(20, 14, 18))
         cfg = SolverConfig(theta=0.15)
-        state, trace = self.run_manual(y, mask, cfg)
+        ms, x, trace = self.run_manual(y, mask, cfg)
         assert trace[-1] < cfg.epsilon
-        m_norm = frobenius_norm(state.m)
-        for x in state.x:
-            assert frobenius_norm(x - state.m) < 1e-3 * m_norm
+        m_norm = frobenius_norm(ms[-1])
+        for x_k in x:
+            assert frobenius_norm(x_k - ms[-1]) < 1e-3 * m_norm
 
     def test_consecutive_recovered_tensors_agree_on_observed(self):
         # the convergence ratio runs on post-constraint tensors, whose
@@ -303,12 +373,7 @@ class TestSolveLoopInvariants:
         # are supported on the missing entries only
         y, mask = small_problem(seed=17)
         cfg = SolverConfig(theta=0.1, max_iter=5)
-        state = initialize(y, mask, cfg)
-        previous = state.m
-        for _ in range(cfg.max_iter):
-            state.x = [update_x(state, mode, cfg) for mode in (0, 1, 2)]
-            state.m = update_m(state, y, mask, cfg)
-            state.t = update_t(state, cfg)
-            diff = state.m - previous
-            assert not diff[mask].any()
-            previous = state.m
+        ms, _, _ = self.run_manual(y, mask, cfg)
+        assert len(ms) == 6
+        for previous, current in zip(ms, ms[1:]):
+            assert not (current - previous)[mask].any()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -8,7 +8,6 @@ from lrtc import (
     DimensionError,
     fold,
     frobenius_norm,
-    project_observed,
     unfold,
 )
 
@@ -32,14 +31,6 @@ finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=64)
 @st.composite
 def tensors(draw):
     return draw(arrays(np.float64, draw(small_dims), elements=finite))
-
-
-@st.composite
-def tensor_mask_pairs(draw):
-    dims = draw(small_dims)
-    t = draw(arrays(np.float64, dims, elements=finite))
-    m = draw(arrays(np.bool_, dims))
-    return t, m
 
 
 class TestUnfold:
@@ -109,42 +100,6 @@ class TestFold:
             fold(np.zeros((3, 20)), 1, (4, 3))
 
 
-class TestProjections:
-    def test_full_support_identity(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 3, 4))
-        assert np.array_equal(project_observed(x, np.ones(x.shape, bool)), x)
-
-    def test_single_support(self):
-        x = np.arange(8, dtype=float).reshape(2, 2, 2) + 1
-        mask = np.zeros(x.shape, bool)
-        mask[1, 0, 1] = True
-        kept = project_observed(x, mask)
-        assert kept[1, 0, 1] == x[1, 0, 1]
-        assert kept.sum() == x[1, 0, 1]
-
-    def test_empty_complement(self):
-        x = np.ones((2, 2, 2))
-        assert np.array_equal(project_observed(x, ~np.ones(x.shape, bool)), np.zeros(x.shape))
-
-    def test_decomposition_identity(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 4, 2))
-        mask = rng.random(x.shape) < 0.4
-        assert np.array_equal(project_observed(x, mask) + project_observed(x, ~mask), x)
-
-    def test_idempotence(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 4, 3))
-        mask = rng.random(x.shape) < 0.6
-        once = project_observed(x, mask)
-        assert np.array_equal(project_observed(once, mask), once)
-
-    def test_dims_mismatch(self):
-        with pytest.raises(DimensionError):
-            project_observed(np.zeros((2, 2, 2)), np.ones((2, 2, 3), bool))
-
-
 class TestFrobeniusNorm:
     def test_zero(self):
         assert frobenius_norm(np.zeros((3, 2, 4))) == 0.0
@@ -169,9 +124,3 @@ def test_roundtrip_property(x):
     for mode in (0, 1, 2):
         assert np.array_equal(fold(unfold(x, mode), mode, x.shape), x)
 
-
-@given(tensor_mask_pairs())
-@settings(max_examples=50)
-def test_projection_decomposition_property(pair):
-    x, mask = pair
-    assert np.array_equal(project_observed(x, mask) + project_observed(x, ~mask), x)
