@@ -149,7 +149,7 @@ def solve(y, mask, config):
     if obs_norm == 0.0:
         raise DegenerateProblemError("observed entries have zero norm")
 
-    truncs = [truncation_for_mode(y.shape, mode, config.theta, clamp=True) for mode in MODES]
+    truncs = [truncation_for_mode(y.shape, mode, config.theta) for mode in MODES]
     m = np.where(mask, y, 0.0)
     x = np.zeros((3, *y.shape))
     t = np.zeros_like(x)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrtc import (
     ConfigError,
@@ -21,23 +23,112 @@ def tnn_objective(x, z, trunc, tau):
 DIAG31 = np.diag([3.0, 1.0])
 
 
+def with_spectrum(rows, cols, sigma, seed):
+    """A rows x cols matrix with singular values ``sigma`` and random factors."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, len(sigma))))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, len(sigma))))
+    return (u * sigma) @ v.T
+
+
+def spectrum(kind, p, rng):
+    """Descending singular values of one kind for a matrix with p of them."""
+    if kind == "random":
+        return np.sort(rng.uniform(0.5, 3.0, p))[::-1]
+    if kind == "rank_deficient":
+        rank = int(rng.integers(0, p))
+        return np.r_[np.sort(rng.uniform(0.5, 3.0, rank))[::-1], np.zeros(p - rank)]
+    if kind == "repeated":
+        return np.sort(rng.choice([3.0, 2.0, 1.0], size=p))[::-1]
+    return np.zeros(p)
+
+
+def factor_invariants(a, u, sigma, vt):
+    p = min(a.shape)
+    assert sigma.shape == (p,)
+    assert (np.diff(sigma) <= 0).all() and (sigma >= 0).all()
+    assert np.allclose(u.T @ u, np.eye(p), atol=1e-8)
+    assert np.allclose(vt @ vt.T, np.eye(p), atol=1e-8)
+    recon = (u * sigma) @ vt
+    assert np.linalg.norm(recon - a) <= 1e-8 * max(np.linalg.norm(a), 1.0)
+
+
 class TestThinSvd:
-    @pytest.mark.parametrize("shape", [(4, 7), (7, 4), (5, 5), (1, 6), (6, 1)])
+    @pytest.mark.parametrize("shape", [(4, 7), (7, 4), (5, 5), (1, 6), (6, 1), (0, 5)])
     def test_factor_invariants(self, shape):
         rng = np.random.default_rng(11)
         a = rng.standard_normal(shape)
-        u, sigma, vt = thin_svd(a)
-        p = min(shape)
-        assert sigma.shape == (p,)
-        assert (np.diff(sigma) <= 0).all() and (sigma >= 0).all()
-        assert np.allclose(u.T @ u, np.eye(p), atol=1e-8)
-        assert np.allclose(vt @ vt.T, np.eye(p), atol=1e-8)
-        recon = (u * sigma) @ vt
-        assert np.linalg.norm(recon - a) <= 1e-8 * max(np.linalg.norm(a), 1.0)
+        factor_invariants(a, *thin_svd(a))
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             thin_svd(np.array([[1.0, np.nan]]))
+
+    @given(
+        rows=st.integers(1, 12),
+        excess=st.sampled_from([-1, 0, 1, 5, 40]),
+        tall=st.booleans(),
+        kind=st.sampled_from(["random", "rank_deficient", "repeated", "zero"]),
+        seed=st.integers(0, 2**32 - 1),
+        trunc_frac=st.floats(0.0, 1.0, exclude_max=True),
+        tau_frac=st.floats(0.0, 1.2),
+    )
+    @example(rows=12, excess=0, tall=False, kind="random", seed=0, trunc_frac=0.0, tau_frac=0.3)
+    @example(rows=12, excess=-1, tall=True, kind="repeated", seed=1, trunc_frac=0.5, tau_frac=0.6)
+    @example(rows=6, excess=0, tall=False, kind="rank_deficient", seed=2, trunc_frac=0.2, tau_frac=0.1)
+    @example(rows=5, excess=40, tall=True, kind="zero", seed=3, trunc_frac=0.0, tau_frac=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lapack_on_both_routes(
+        self, rows, excess, tall, kind, seed, trunc_frac, tau_frac
+    ):
+        # cols = 2 * rows + excess puts the matrix on either side of the
+        # Gram route's 2:1 boundary; tall matrices are routed transposed
+        shape = (rows, max(1, 2 * rows + excess))
+        if tall:
+            shape = shape[::-1]
+        p = min(shape)
+        sigma_in = spectrum(kind, p, np.random.default_rng(seed))
+        a = with_spectrum(*shape, sigma_in, seed)
+        u, sigma, vt = thin_svd(a)
+        factor_invariants(a, u, sigma, vt)
+
+        u_ref, sigma_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
+        assert np.all(np.abs(sigma - sigma_ref) <= 1e-9 * sigma_ref[0])
+
+        # a truncation inside a cluster of equal singular values leaves the
+        # output basis-dependent, so start it at the cluster's first value
+        trunc = int(trunc_frac * p)
+        while trunc > 0 and sigma_in[trunc - 1] == sigma_in[trunc]:
+            trunc -= 1
+        tau = tau_frac * sigma_ref[0]
+        shrunk = sigma_ref.copy()
+        shrunk[trunc:] = np.maximum(sigma_ref[trunc:] - tau, 0.0)
+        error = truncated_svt(a, trunc, tau) - (u_ref * shrunk) @ vt_ref
+        assert np.linalg.norm(error) <= 1e-9 * np.linalg.norm(a)
+
+    def test_ill_conditioned_falls_back_to_lapack(self, monkeypatch):
+        calls = []
+        lapack_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lapack_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        sigma = np.logspace(0, -6, 40)
+        a = with_spectrum(40, 400, sigma, seed=31)
+        u, s, vt = thin_svd(a)
+        assert calls == [(40, 400)]
+        assert np.allclose(vt @ vt.T, np.eye(40), rtol=0, atol=1e-12)
+        factor_invariants(a, u, s, vt)
+
+        calls.clear()
+        sigma = np.logspace(0, -3, 40)
+        a = with_spectrum(40, 400, sigma, seed=32)
+        u, s, vt = thin_svd(a)
+        assert calls == []
+        factor_invariants(a, u, s, vt)
+        assert np.all(np.abs(s - sigma) <= 1e-9 * sigma[0])
 
 
 class TestTruncationForMode:
@@ -55,17 +146,13 @@ class TestTruncationForMode:
         assert truncation_for_mode((30, 20, 40), 1, 0.1) == 2
         assert truncation_for_mode((30, 20, 40), 2, 0.1) == 4
 
-    def test_saturating_theta_raises(self):
-        with pytest.raises(ConfigError):
-            truncation_for_mode((10, 10, 10), 0, 0.95)
-
     def test_saturating_theta_clamps_with_warning(self):
         with pytest.warns(UserWarning):
-            assert truncation_for_mode((10, 10, 10), 0, 0.95, clamp=True) == 9
+            assert truncation_for_mode((10, 10, 10), 0, 0.95) == 9
 
     def test_unit_dim_clamps_to_zero(self):
         with pytest.warns(UserWarning):
-            assert truncation_for_mode((1, 4, 5), 0, 0.5, clamp=True) == 0
+            assert truncation_for_mode((1, 4, 5), 0, 0.5) == 0
 
     def test_theta_out_of_range(self):
         for theta in (-0.1, 1.0, 1.5):

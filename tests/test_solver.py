@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lrtc.shrinkage
 from lrtc import (
     ConfigError,
     DegenerateProblemError,
@@ -65,7 +66,7 @@ class TestSolverConfig:
 
 
 def truncs_for(shape, theta):
-    return [truncation_for_mode(shape, mode, theta, clamp=True) for mode in (0, 1, 2)]
+    return [truncation_for_mode(shape, mode, theta) for mode in (0, 1, 2)]
 
 
 class TestStartState:
@@ -377,3 +378,36 @@ class TestSolveLoopInvariants:
         assert len(ms) == 6
         for previous, current in zip(ms, ms[1:]):
             assert not (current - previous)[mask].any()
+
+
+def lapack_thin_svd(matrix):
+    """thin_svd through LAPACK alone: the oracle for its Gram route."""
+    matrix = np.asarray(matrix, dtype=float)
+    m, n = matrix.shape
+    if m > n:
+        u, sigma, vt = np.linalg.svd(matrix.T, full_matrices=False)
+        u, vt = vt.T, u.T
+    else:
+        u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
+    sigma = np.where(sigma < lrtc.shrinkage.SIGMA_FLOOR, 0.0, sigma)
+    return u, sigma, vt
+
+
+def test_answer_does_not_depend_on_svd_route(monkeypatch):
+    # at the default rho0, theta 0 shrinks everything to zero and stops after
+    # one iteration; rho0 = 1e-2 makes the nuclear-norm case run as well
+    y, _ = small_problem(seed=18, dims=(30, 20, 40), rank=3)
+    configs = [SolverConfig(theta=0.0), SolverConfig(theta=0.0, rho0=1e-2), SolverConfig(theta=0.1)]
+    cases = [
+        (pattern(y.shape, 0.4, seed=518), cfg)
+        for pattern in (generate_rm_mask, generate_nm_mask)
+        for cfg in configs
+    ]
+    results = [solve(y, mask, cfg) for mask, cfg in cases]
+    monkeypatch.setattr(lrtc.shrinkage, "thin_svd", lapack_thin_svd)
+    for (mask, cfg), result in zip(cases, results):
+        oracle = solve(y, mask, cfg)
+        assert (result.iterations, result.converged) == (oracle.iterations, oracle.converged)
+        error = frobenius_norm(result.recovered - oracle.recovered)
+        assert error <= 1e-8 * frobenius_norm(oracle.recovered)
+        assert np.allclose(result.trace, oracle.trace, rtol=0, atol=1e-9)
