@@ -14,6 +14,14 @@ csv
     (days, intervals) pair is not stored in the file and must be supplied by
     the caller. An optional non-numeric header row is skipped.
 
+In both formats a value uses Python ``float`` syntax. ``nan`` in any letter
+case, or an empty CSV cell, marks a missing entry; ``+nan``, ``-nan``,
+infinities and values that overflow to infinity are rejected with a
+``path:line:column`` error. The writers refuse non-finite values in every
+entry they write as a number, and write each value as the ``repr`` of a
+Python float, the shortest text that reads back to the same double. Files are
+parsed and written a line at a time.
+
 Run-configuration files are ``key = value`` lines (``#`` comments allowed)
 whose keys mirror the CLI flags; every value is range-checked while parsing so
 errors carry the offending line number.
@@ -23,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, InvalidInputError, ParseError
 from .masks import PATTERNS
 from .tensor_ops import _check_pair, _check_tensor3
 
@@ -47,58 +55,116 @@ def _parse_value(token, path, line_no, col_no):
     return value
 
 
+def _parse_row(tokens, path, line_no):
+    """One line's tokens as ``(values, missing)``, with missing values set to 0.
+
+    The whole row goes through ``float`` at once. A NaN counts as missing only
+    when its token is ``nan`` itself (``float`` also reads ``+nan`` and
+    ``-nan``), and every other value must be finite. A row that fails either
+    check is read again a token at a time by :func:`_parse_value`, which
+    raises on the first bad token with its line and column.
+    """
+    try:
+        values = np.array(list(map(float, tokens)), dtype=float)
+    except ValueError:
+        pass
+    else:
+        missing = np.isnan(values)
+        if all(len(tokens[j]) == 3 for j in np.flatnonzero(missing).tolist()):
+            values[missing] = 0.0
+            if np.isfinite(values).all():
+                return values, missing
+    values = np.zeros(len(tokens))
+    missing = np.zeros(len(tokens), dtype=bool)
+    for j, token in enumerate(tokens):
+        value = _parse_value(token, path, line_no, j + 1)
+        if value is None:
+            missing[j] = True
+        else:
+            values[j] = value
+    return values, missing
+
+
 def load_dense(path):
     """Read a dense-format file into (tensor, mask)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError(f"{path}:1: empty file; expected an 'n1 n2 n3' header")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ParseError(
-            f"{path}:1: header must hold exactly three dimensions, got {lines[0].strip()!r}"
-        )
-    dims = []
-    for col_no, token in enumerate(header, start=1):
-        try:
-            d = int(token)
-        except ValueError:
+        first = fh.readline()
+        if not first:
+            raise ParseError(f"{path}:1: empty file; expected an 'n1 n2 n3' header")
+        header = first.split()
+        if len(header) != 3:
             raise ParseError(
-                f"{path}:1:{col_no}: cannot parse dimension {token!r} as an integer"
-            ) from None
-        if d < 1:
-            raise ParseError(f"{path}:1:{col_no}: dimensions must be positive, got {d}")
-        dims.append(d)
-    dims = tuple(dims)
-    count = dims[0] * dims[1] * dims[2]
-
-    values = np.zeros(count)
-    observed = np.ones(count, dtype=bool)
-    pos = 0
-    for line_no, line in enumerate(lines[1:], start=2):
-        for col_no, token in enumerate(line.split(), start=1):
-            if pos >= count:
+                f"{path}:1: header must hold exactly three dimensions, got {first.strip()!r}"
+            )
+        dims = []
+        for col_no, token in enumerate(header, start=1):
+            try:
+                d = int(token)
+            except ValueError:
                 raise ParseError(
-                    f"{path}:{line_no}:{col_no}: more than {count} values in file"
+                    f"{path}:1:{col_no}: cannot parse dimension {token!r} as an integer"
+                ) from None
+            if d < 1:
+                raise ParseError(f"{path}:1:{col_no}: dimensions must be positive, got {d}")
+            dims.append(d)
+        dims = tuple(dims)
+        count = dims[0] * dims[1] * dims[2]
+
+        values = np.zeros(count)
+        observed = np.ones(count, dtype=bool)
+        pos = 0
+        line_no = 1
+        for line_no, line in enumerate(fh, start=2):
+            tokens = line.split()
+            room = count - pos
+            if len(tokens) > room:
+                # tokens ahead of the overflow column are still checked first
+                _parse_row(tokens[:room], path, line_no)
+                raise ParseError(
+                    f"{path}:{line_no}:{room + 1}: more than {count} values in file"
                 )
-            value = _parse_value(token, path, line_no, col_no)
-            if value is None:
-                observed[pos] = False
-            else:
-                values[pos] = value
-            pos += 1
+            row, missing = _parse_row(tokens, path, line_no)
+            end = pos + len(tokens)
+            values[pos:end] = row
+            observed[pos:end] = ~missing
+            pos = end
     if pos != count:
-        raise ParseError(
-            f"{path}:{len(lines)}: expected {count} values, found {pos}"
-        )
+        raise ParseError(f"{path}:{line_no}: expected {count} values, found {pos}")
     return values.reshape(dims), observed.reshape(dims)
 
 
 def _check_output(tensor, mask):
-    """Both writers' input check: a third-order tensor, and a mask of its shape if any."""
+    """Both writers' input check: a third-order tensor, a mask of its shape if
+    any, and a finite value in every entry that is written as a number."""
     if mask is None:
-        return _check_tensor3(tensor), None
-    return _check_pair(tensor, mask)
+        tensor = _check_tensor3(tensor)
+    else:
+        tensor, mask = _check_pair(tensor, mask)
+    finite = np.isfinite(tensor)
+    if not finite.all():
+        written = ~finite if mask is None else ~finite & mask
+        if written.any():
+            index = tuple(int(i) for i in np.argwhere(written)[0])
+            raise InvalidInputError(
+                f"cannot write non-finite value {float(tensor[index])} at index {index}; "
+                "the file formats hold finite values, and nan only where a mask marks "
+                "an entry missing"
+            )
+    return tensor, mask
+
+
+def _write_slabs(fh, slabs, masks, sep):
+    """Write each matrix ``slabs[i]`` as lines of ``sep``-joined values.
+
+    A value is written as the ``repr`` of a Python float, the shortest text
+    that reads back to the same double, and as ``nan`` where ``masks[i]`` is
+    False. One slab at a time goes through ``tolist``, so the Python floats
+    alive at once stay few.
+    """
+    for i, slab in enumerate(slabs):
+        if masks is not None:
+            slab = np.where(masks[i], slab, np.nan)
+        fh.write("\n".join(sep.join(map(repr, row)) for row in slab.tolist()) + "\n")
 
 
 def save_dense(path, tensor, mask=None):
@@ -107,17 +173,7 @@ def save_dense(path, tensor, mask=None):
     n1, n2, n3 = tensor.shape
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{n1} {n2} {n3}\n")
-        for i1 in range(n1):
-            for i2 in range(n2):
-                row = tensor[i1, i2]
-                if mask is None:
-                    tokens = [repr(float(v)) for v in row]
-                else:
-                    tokens = [
-                        repr(float(v)) if ok else "nan"
-                        for v, ok in zip(row, mask[i1, i2])
-                    ]
-                fh.write(" ".join(tokens) + "\n")
+        _write_slabs(fh, tensor, mask, " ")
 
 
 def _looks_like_header(cells):
@@ -138,32 +194,26 @@ def load_matrix_csv(path, days, intervals):
     if days < 1 or intervals < 1:
         raise ConfigError(f"days and intervals must be positive, got {days}, {intervals}")
     with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.rstrip("\n").rstrip("\r") for line in fh]
-    rows = [(no, line.split(",")) for no, line in enumerate(raw, start=1) if line.strip()]
+        rows = [(no, line) for no, line in enumerate(fh, start=1) if line.strip()]
     if not rows:
         raise ParseError(f"{path}:1: empty file")
-    if _looks_like_header(rows[0][1]):
+    if _looks_like_header(rows[0][1].split(",")):
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}:2: no data rows after header")
     width = days * intervals
     matrix = np.zeros((len(rows), width))
     observed = np.ones((len(rows), width), dtype=bool)
-    for r, (line_no, cells) in enumerate(rows):
+    for r, (line_no, line) in enumerate(rows):
+        cells = line.split(",")
         if len(cells) != width:
             raise ParseError(
                 f"{path}:{line_no}: expected {width} columns (days*intervals), got {len(cells)}"
             )
-        for c, cell in enumerate(cells):
-            token = cell.strip()
-            if token == "":
-                observed[r, c] = False
-                continue
-            value = _parse_value(token, path, line_no, c + 1)
-            if value is None:
-                observed[r, c] = False
-            else:
-                matrix[r, c] = value
+        # an empty cell marks a missing entry, exactly as nan does
+        tokens = [cell.strip() or "nan" for cell in cells]
+        matrix[r], missing = _parse_row(tokens, path, line_no)
+        observed[r] = ~missing
     shape = (len(rows), days, intervals)
     return matrix.reshape(shape), observed.reshape(shape)
 
@@ -172,18 +222,13 @@ def save_matrix_csv(path, tensor, mask=None):
     """Write the stacked locations x (days*intervals) CSV (no header row)."""
     tensor, mask = _check_output(tensor, mask)
     n1 = tensor.shape[0]
-    flat = tensor.reshape(n1, -1)
-    flat_mask = None if mask is None else mask.reshape(n1, -1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in range(n1):
-            if flat_mask is None:
-                cells = [repr(float(v)) for v in flat[r]]
-            else:
-                cells = [
-                    repr(float(v)) if ok else "nan"
-                    for v, ok in zip(flat[r], flat_mask[r])
-                ]
-            fh.write(",".join(cells) + "\n")
+        _write_slabs(
+            fh,
+            tensor.reshape(n1, 1, -1),
+            None if mask is None else mask.reshape(n1, 1, -1),
+            ",",
+        )
 
 
 def load_tensor(path, fmt="dense", csv_dims=None):

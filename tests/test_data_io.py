@@ -4,7 +4,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lrtc import ConfigError, DimensionError, ParseError, load_run_config, load_tensor, save_tensor
+from lrtc import (
+    CompletionError,
+    ConfigError,
+    DimensionError,
+    InvalidInputError,
+    ParseError,
+    load_run_config,
+    load_tensor,
+    save_tensor,
+)
 from lrtc.data_io import load_dense, load_matrix_csv, save_dense, save_matrix_csv
 
 
@@ -83,6 +92,22 @@ class TestDenseFormat:
         path = tmp_path / "t.txt"
         path.write_text("1 1 1\ninf\n", encoding="utf-8")
         with pytest.raises(ParseError, match="non-finite"):
+            load_dense(path)
+
+    @pytest.mark.parametrize("token", ["+nan", "-nan", "-NaN", "1e400", "-inf"])
+    def test_signed_nan_and_overflow_rejected(self, tmp_path, token):
+        path = tmp_path / "t.txt"
+        path.write_text(f"1 1 2\n1.0 {token}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":2:2: non-finite value"):
+            load_dense(path)
+
+    def test_bad_token_ahead_of_overflow_is_reported_first(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("1 1 2\n1.0 x 3.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r":2:2: cannot parse 'x'"):
+            load_dense(path)
+        path.write_text("1 1 2\n1.0 2.0 x\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r":2:3: more than 2 values"):
             load_dense(path)
 
 
@@ -177,6 +202,36 @@ class TestDispatch:
                 save_tensor(tmp_path / "x", tensor, mask=mask, fmt=fmt)
 
 
+class TestWritersRefuseNonFinite:
+    @pytest.mark.parametrize("fmt", ["dense", "csv"])
+    def test_unmasked_nan_or_inf_raises(self, tmp_path, fmt):
+        path = tmp_path / "t"
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError, match=r"index \(0, 0, 1\)"):
+                save_tensor(path, np.array([[[1.0, bad, 2.0]]]), fmt=fmt)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["dense", "csv"])
+    def test_masked_inf_raises_where_written(self, tmp_path, fmt):
+        tensor = np.array([[[1.0, np.nan, np.inf]]])
+        path = tmp_path / "t"
+        with pytest.raises(InvalidInputError, match=r"index \(0, 0, 2\)"):
+            save_tensor(path, tensor, mask=np.array([[[True, False, True]]]), fmt=fmt)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["dense", "csv"])
+    def test_masked_missing_entries_may_be_non_finite(self, tmp_path, fmt):
+        tensor = np.array([[[1.0, np.nan, np.inf]]])
+        mask = np.array([[[True, False, False]]])
+        path = tmp_path / "t"
+        save_tensor(path, tensor, mask=mask, fmt=fmt)
+        sep = " " if fmt == "dense" else ","
+        assert path.read_text(encoding="utf-8").splitlines()[-1] == sep.join(["1.0", "nan", "nan"])
+        loaded, loaded_mask = load_tensor(path, fmt=fmt, csv_dims=(1, 3))
+        assert np.array_equal(loaded, [[[1.0, 0.0, 0.0]]])
+        assert np.array_equal(loaded_mask, mask)
+
+
 @st.composite
 def masked_tensors(draw):
     dims = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
@@ -197,6 +252,263 @@ def test_file_roundtrip_property(pair, fmt, tmp_path):
     loaded, loaded_mask = load_tensor(path, fmt=fmt, csv_dims=csv_dims)
     assert np.array_equal(loaded, tensor)
     assert np.array_equal(loaded_mask, mask)
+
+
+# Slow-path oracles: the per-token loaders and per-scalar writers that the
+# row-at-a-time ones replaced, kept verbatim so that every fast path is checked
+# against them.
+
+
+def _oracle_parse_value(token, path, line_no, col_no):
+    if token.lower() == "nan":
+        return None
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(
+            f"{path}:{line_no}:{col_no}: cannot parse {token!r} as a number"
+        ) from None
+    if not np.isfinite(value):
+        raise ParseError(
+            f"{path}:{line_no}:{col_no}: non-finite value {token!r} is not allowed"
+        )
+    return value
+
+
+def _oracle_load_dense(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise ParseError(f"{path}:1: empty file; expected an 'n1 n2 n3' header")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ParseError(
+            f"{path}:1: header must hold exactly three dimensions, got {lines[0].strip()!r}"
+        )
+    dims = []
+    for col_no, token in enumerate(header, start=1):
+        try:
+            d = int(token)
+        except ValueError:
+            raise ParseError(
+                f"{path}:1:{col_no}: cannot parse dimension {token!r} as an integer"
+            ) from None
+        if d < 1:
+            raise ParseError(f"{path}:1:{col_no}: dimensions must be positive, got {d}")
+        dims.append(d)
+    dims = tuple(dims)
+    count = dims[0] * dims[1] * dims[2]
+    values = np.zeros(count)
+    observed = np.ones(count, dtype=bool)
+    pos = 0
+    for line_no, line in enumerate(lines[1:], start=2):
+        for col_no, token in enumerate(line.split(), start=1):
+            if pos >= count:
+                raise ParseError(
+                    f"{path}:{line_no}:{col_no}: more than {count} values in file"
+                )
+            value = _oracle_parse_value(token, path, line_no, col_no)
+            if value is None:
+                observed[pos] = False
+            else:
+                values[pos] = value
+            pos += 1
+    if pos != count:
+        raise ParseError(f"{path}:{len(lines)}: expected {count} values, found {pos}")
+    return values.reshape(dims), observed.reshape(dims)
+
+
+def _oracle_looks_like_header(cells):
+    for cell in cells:
+        token = cell.strip()
+        if token == "" or token.lower() == "nan":
+            continue
+        try:
+            float(token)
+        except ValueError:
+            return True
+    return False
+
+
+def _oracle_load_matrix_csv(path, days, intervals):
+    days, intervals = int(days), int(intervals)
+    if days < 1 or intervals < 1:
+        raise ConfigError(f"days and intervals must be positive, got {days}, {intervals}")
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = [line.rstrip("\n").rstrip("\r") for line in fh]
+    rows = [(no, line.split(",")) for no, line in enumerate(raw, start=1) if line.strip()]
+    if not rows:
+        raise ParseError(f"{path}:1: empty file")
+    if _oracle_looks_like_header(rows[0][1]):
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path}:2: no data rows after header")
+    width = days * intervals
+    matrix = np.zeros((len(rows), width))
+    observed = np.ones((len(rows), width), dtype=bool)
+    for r, (line_no, cells) in enumerate(rows):
+        if len(cells) != width:
+            raise ParseError(
+                f"{path}:{line_no}: expected {width} columns (days*intervals), got {len(cells)}"
+            )
+        for c, cell in enumerate(cells):
+            token = cell.strip()
+            if token == "":
+                observed[r, c] = False
+                continue
+            value = _oracle_parse_value(token, path, line_no, c + 1)
+            if value is None:
+                observed[r, c] = False
+            else:
+                matrix[r, c] = value
+    shape = (len(rows), days, intervals)
+    return matrix.reshape(shape), observed.reshape(shape)
+
+
+def _oracle_save_dense(path, tensor, mask=None):
+    n1, n2, n3 = tensor.shape
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{n1} {n2} {n3}\n")
+        for i1 in range(n1):
+            for i2 in range(n2):
+                row = tensor[i1, i2]
+                if mask is None:
+                    tokens = [repr(float(v)) for v in row]
+                else:
+                    tokens = [
+                        repr(float(v)) if ok else "nan"
+                        for v, ok in zip(row, mask[i1, i2])
+                    ]
+                fh.write(" ".join(tokens) + "\n")
+
+
+def _oracle_save_matrix_csv(path, tensor, mask=None):
+    n1 = tensor.shape[0]
+    flat = tensor.reshape(n1, -1)
+    flat_mask = None if mask is None else mask.reshape(n1, -1)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for r in range(n1):
+            if flat_mask is None:
+                cells = [repr(float(v)) for v in flat[r]]
+            else:
+                cells = [
+                    repr(float(v)) if ok else "nan"
+                    for v, ok in zip(flat[r], flat_mask[r])
+                ]
+            fh.write(",".join(cells) + "\n")
+
+
+def _outcome(load, *args):
+    """What a loader did: the arrays as shape and bytes, or the error's type and text."""
+    try:
+        tensor, mask = load(*args)
+    except CompletionError as exc:
+        return type(exc).__name__, str(exc)
+    return tensor.shape, tensor.dtype, tensor.tobytes(), mask.dtype, mask.tobytes()
+
+
+# Tokens that parse: finite values at the edges of the double range, and the
+# missing-entry marker in several letter cases.
+_CLEAN_TOKENS = ["-0.0", "0", "5e-324", "1e308", "-1e308", "2.5", "1_0", "nan", "NaN", "NAN"]
+# Tokens that do not: signed NaN, infinities, overflow, and non-numbers.
+_BAD_TOKENS = ["+nan", "-nan", "inf", "-Infinity", "1e400", "x", "1e", "1__0", "0x10"]
+_finite_text = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(_CLEAN_TOKENS),
+)
+
+
+@st.composite
+def _token_lists(draw, count):
+    """Mostly ``count`` tokens, sometimes a few too many or too few; some
+    streams hold a few unparsable ones."""
+    n = max(0, count + draw(st.sampled_from([0, 0, 0, 0, 0, -2, -1, 1, 2])))
+    tokens = draw(st.lists(_finite_text, min_size=n, max_size=n))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        if tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+    return tokens
+
+
+@st.composite
+def dense_texts(draw):
+    dims = draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)))
+    header = draw(
+        st.sampled_from(["{} {} {}".format(*dims)] * 16 + ["", "2 2", "a 1 1", "0 1 1", "1 1 1 1"])
+    )
+    tokens = draw(_token_lists(dims[0] * dims[1] * dims[2]))
+    gaps = st.sampled_from([" ", " ", "\t", "  ", "\n", "\n", "\n\n", " \n \n"])
+    body = "".join(token + draw(gaps) for token in tokens)
+    text = header + "\n" + body
+    return draw(st.sampled_from([text] * 4 + [text.rstrip("\n"), "", header]))
+
+
+@st.composite
+def csv_texts(draw):
+    days, intervals = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    width = days * intervals
+    padded = st.sampled_from(["", " ", " 1.5", "nan ", " NaN ", "2.0\t"])
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from([",".join(f"c{j}" for j in range(width)), "loc,1", "nan,x"])))
+    for _ in range(draw(st.integers(0, 3))):
+        cells = draw(_token_lists(width))
+        for _ in range(draw(st.integers(0, 2))):
+            if cells:
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(padded)
+        lines.append(",".join(cells))
+        lines.extend([""] * draw(st.integers(0, 1)))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    return days, intervals, text + draw(st.sampled_from(["", "\n"]))
+
+
+@given(text=dense_texts())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_dense_matches_per_token_oracle(text, tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_dense, path) == _outcome(_oracle_load_dense, path)
+
+
+@given(case=csv_texts())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_matrix_csv_matches_per_token_oracle(case, tmp_path):
+    days, intervals, text = case
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_matrix_csv, path, days, intervals) == _outcome(
+        _oracle_load_matrix_csv, path, days, intervals
+    )
+
+
+_written_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.integers(-(10**17), 10**17).map(float),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 1e16]),
+)
+
+
+@st.composite
+def written_tensors(draw):
+    dims = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)))
+    tensor = draw(arrays(np.float64, dims, elements=_written_values))
+    if not draw(st.booleans()):
+        return tensor, None
+    mask = draw(arrays(np.bool_, dims))
+    # an entry the mask marks missing is written as nan whatever it holds
+    hidden = draw(st.sampled_from([0.0, np.nan, np.inf]))
+    return np.where(mask, tensor, hidden), mask
+
+
+@given(pair=written_tensors())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_writers_match_per_scalar_oracle(pair, tmp_path):
+    tensor, mask = pair
+    for save, oracle in ((save_dense, _oracle_save_dense), (save_matrix_csv, _oracle_save_matrix_csv)):
+        save(tmp_path / "new", tensor, mask)
+        oracle(tmp_path / "old", tensor, mask)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
 class TestRunConfigFile:
