@@ -177,15 +177,15 @@ def save_dense(path, tensor, mask=None):
 
 
 def _looks_like_header(cells):
-    for cell in cells:
-        token = cell.strip()
-        if token == "" or token.lower() == "nan":
-            continue
+    """True when a cell is non-empty and no non-empty cell parses as a number."""
+    tokens = [cell.strip() for cell in cells if cell.strip()]
+    for token in tokens:
         try:
             float(token)
         except ValueError:
-            return True
-    return False
+            continue
+        return False
+    return bool(tokens)
 
 
 def load_matrix_csv(path, days, intervals):

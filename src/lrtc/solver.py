@@ -1,18 +1,25 @@
 """ADMM solver for tensor completion under truncated nuclear norm minimization.
 
-The consensus formulation carries one auxiliary tensor per mode plus a shared
-tensor ``m`` that pins the observed entries. ``solve`` holds the per-mode
-tensors ``x`` and duals ``t`` as one ``(3, n1, n2, n3)`` array each, allocated
-once and updated in place, and computes the per-mode truncation levels once,
-before the loop. Each iteration runs, in order:
+The consensus formulation carries one tensor ``x_k`` and one dual ``t[k]`` per
+mode plus a shared tensor ``m`` that pins the observed entries. ``solve``
+allocates its state once: the duals as one ``(3, n1, n2, n3)`` array, ``m``, a
+sum buffer ``s`` and a flat work buffer; no two ``x_k`` exist at once. Each
+iteration runs, in order:
 
-1. ``update_x``: ``x[k] = fold_k(truncated_svt(unfold_k(m - t[k] / rho)))``,
-   each mode reading only the previous ``m`` and its own dual ``t[k]`` (so
-   the three may run in any order);
-2. ``update_m``: ``m = mean_k(x[k]) + mean_k(t[k]) / rho``, followed by an
-   exact overwrite of the observed entries with the input values;
-3. ``update_t``: dual ascent ``t[k] += rho * (x[k] - m)``;
-4. the penalty schedule ``rho = min(rho_mult * rho, rho_max)``.
+1. ``update_x``, per mode k: ``z = m - t[k] / rho`` into the work buffer laid
+   out mode-k first, so its unfolding is a view; ``x_k``, the fold of
+   ``truncated_svt(unfold_k(z))``, a view of the SVT output; ``s += x_k`` and
+   ``t[k] += rho * x_k``. Each ``x_k`` reads only the previous m and its own dual;
+2. ``update_m``: ``m_new = s / 3``, observed entries overwritten with the input;
+3. the convergence ratio, with ``m_new - m_old`` in the old m buffer;
+4. ``update_t``: ``t[k] -= rho * m_new`` via that buffer, which becomes ``s``;
+5. the penalty schedule ``rho = min(rho_mult * rho, rho_max)``.
+
+The textbook consensus step ``m = mean_k(x_k) + mean_k(t[k]) / rho`` has a dual
+term that is zero: the duals start at zero, and on the missing entries, where
+m is free, the dual step ``t[k] += rho * (x_k - m)`` returns ``sum_k t[k]`` to
+zero in every iteration (observed entries are pinned anyway). Dropping the
+term changes the iterates by rounding only.
 
 Convergence is declared when the relative change of consecutive recovered
 tensors, ``||m_new - m_old||_F / ||observed part of y||_F``, drops below
@@ -102,25 +109,30 @@ class SolverResult:
     converged: bool = False
 
 
-def update_x(x, m, t, rho, truncs, config):
-    """Shrinkage step: fill each ``x[mode]`` from the previous m and its own dual."""
+def update_x(s, work, m, t, rho, truncs, config):
+    """``s = sum_k x_k`` and ``t[k] += rho * x_k``; ``work`` is a flat ``m.size`` buffer."""
+    s.fill(0.0)
     for mode in MODES:
-        z = unfold(m - t[mode] / rho, mode)
-        x[mode] = fold(truncated_svt(z, truncs[mode], config.alphas[mode] / rho), mode, m.shape)
+        z = fold(work.reshape(m.shape[mode], -1), mode, m.shape)
+        np.divide(t[mode], rho, out=z)
+        np.subtract(m, z, out=z)
+        x_k = fold(truncated_svt(unfold(z, mode), truncs[mode], config.alphas[mode] / rho), mode, m.shape)
+        s += x_k
+        np.multiply(x_k, rho, out=z)
+        del x_k  # free the SVT output before the next mode's SVT: one tensor less at peak
+        t[mode] += z
 
 
-def update_m(x, t, rho, y, mask):
-    """Consensus average of the x and dual tensors, observed entries pinned to y."""
-    m = sum(x) / 3.0
-    m += sum(t) / (3.0 * rho)
-    np.copyto(m, y, where=mask)
-    return m
+def update_m(s, y, mask):
+    """Consensus average ``s / 3`` of the x tensors in place, observed entries pinned to y."""
+    s /= 3.0
+    np.copyto(s, y, where=mask)
 
 
-def update_t(t, x, m, rho):
-    """Dual ascent against the fresh consensus tensor, in place."""
-    for mode in MODES:
-        t[mode] += rho * (x[mode] - m)
+def update_t(t, m, rho, scratch):
+    """The m half of the dual step in place, ``t[k] -= rho * m``, via ``scratch``."""
+    np.multiply(m, rho, out=scratch)
+    t -= scratch
 
 
 def solve(y, mask, config):
@@ -151,22 +163,24 @@ def solve(y, mask, config):
 
     truncs = [truncation_for_mode(y.shape, mode, config.theta) for mode in MODES]
     m = np.where(mask, y, 0.0)
-    x = np.zeros((3, *y.shape))
-    t = np.zeros_like(x)
+    s = np.empty_like(m)
+    work = np.empty(m.size)
+    t = np.zeros((3, *y.shape))
     rho = config.rho0
     trace = []
     rho_trace = []
     converged = False
     for it in range(1, config.max_iter + 1):
-        m_old = m
-        update_x(x, m, t, rho, truncs, config)
-        m = update_m(x, t, rho, y, mask)
-        update_t(t, x, m, rho)
+        update_x(s, work, m, t, rho, truncs, config)
+        update_m(s, y, mask)
+        np.subtract(s, m, out=m)
+        ratio = frobenius_norm(m) / obs_norm
+        update_t(t, s, rho, m)
+        m, s = s, m
         rho = min(config.rho_mult * rho, config.rho_max)
         if not math.isfinite(rho):
             raise ConfigError(f"rho overflowed to {rho} at iteration {it}; set a finite rho_max")
 
-        ratio = frobenius_norm(m - m_old) / obs_norm
         trace.append(ratio)
         rho_trace.append(rho)
         if ratio < config.epsilon:

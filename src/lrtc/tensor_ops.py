@@ -2,11 +2,12 @@
 
 Tensors are numpy float arrays of shape ``(n1, n2, n3)``. Observation masks are
 boolean arrays of the same shape, ``True`` where an entry is observed. The
-canonical linear order of entries is C/row-major over ``(i1, i2, i3)``.
-Missing-ness never lives inside a tensor as NaN; it lives in the mask.
+canonical linear order of entries is C/row-major over ``(i1, i2, i3)``, and
+unfoldings keep it. Missing-ness never lives inside a tensor as NaN; it lives
+in the mask.
 
-All functions here are pure and never mutate their inputs, so they are safe to
-call concurrently.
+No function here mutates its input, so they are safe to call concurrently.
+``unfold`` and ``fold`` may return views that share memory with their input.
 """
 
 import numpy as np
@@ -31,11 +32,15 @@ def _check_mode(mode):
 def unfold(tensor, mode):
     """Return the mode-`mode` unfolding of a third-order tensor.
 
-    Entry ``(i1, i2, i3)`` lands in row ``i_mode`` and column
-    ``sum(i_l * J_l for l != mode)`` with ``J_l = prod(dims[m] for m < l,
-    m != mode)``, i.e. the remaining axes vary fastest in ascending axis
-    order. Any fixed bijection would preserve singular values, but this one
-    must round-trip exactly with :func:`fold`.
+    Entry ``(i1, i2, i3)`` lands in row ``i_mode``; the remaining two indices,
+    in ascending axis order, pick the column in C order (the last varies
+    fastest), i.e. ``np.moveaxis(t, k, 0).reshape(n_k, -1)``. Any fixed column
+    bijection leaves the singular values and the SVT result unchanged; this one
+    round-trips exactly with :func:`fold`.
+
+    The result is a view where numpy can reshape without a copy (mode 0 of a
+    C-ordered tensor, any mode of a :func:`fold` result), else a copy. Never
+    write into an unfolding you do not own.
 
     Parameters
     ----------
@@ -49,13 +54,14 @@ def unfold(tensor, mode):
     """
     tensor = _check_tensor3(tensor)
     _check_mode(mode)
-    return np.reshape(
-        np.moveaxis(tensor, mode, 0), (tensor.shape[mode], -1), order="F"
-    )
+    return np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
 
 
 def fold(matrix, mode, dims):
     """Exact inverse of :func:`unfold` for the same mode and dims.
+
+    For a C-contiguous float ``matrix``, such as an SVT result, the result is
+    a view of it, and so is its mode-``mode`` unfolding.
 
     Parameters
     ----------
@@ -80,7 +86,7 @@ def fold(matrix, mode, dims):
             f"matrix shape {matrix.shape} inconsistent with mode {mode} of dims {dims}; "
             f"expected {expected}"
         )
-    return np.moveaxis(np.reshape(matrix, (dims[mode], *rest), order="F"), 0, mode)
+    return np.moveaxis(matrix.reshape(dims[mode], *rest), 0, mode)
 
 
 def _check_pair(tensor, mask):

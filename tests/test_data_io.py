@@ -140,6 +140,19 @@ class TestMatrixCsvFormat:
         tensor, _ = load_matrix_csv(path, 2, 2)
         assert tensor.shape == (1, 2, 2)
 
+    def test_typo_in_first_row_is_parse_error(self, tmp_path):
+        # a numeric cell makes the first row data, so the bad cell is named
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,x,3.0,4.0\n5,6,7,8\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"m\.csv:1:2: cannot parse 'x'"):
+            load_matrix_csv(path, 2, 2)
+
+    def test_nan_cell_makes_first_row_data(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("loc,nan,,c3\n1.0,2.0,3.0,4.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"m\.csv:1:1: cannot parse 'loc'"):
+            load_matrix_csv(path, 2, 2)
+
     def test_column_count_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.0,2.0,3.0\n", encoding="utf-8")
@@ -319,15 +332,19 @@ def _oracle_load_dense(path):
 
 
 def _oracle_looks_like_header(cells):
+    # a header only when no non-empty cell parses as a number
+    seen = False
     for cell in cells:
         token = cell.strip()
-        if token == "" or token.lower() == "nan":
+        if token == "":
             continue
+        seen = True
         try:
             float(token)
         except ValueError:
-            return True
-    return False
+            continue
+        return False
+    return seen
 
 
 def _oracle_load_matrix_csv(path, days, intervals):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -69,14 +70,26 @@ def truncs_for(shape, theta):
     return [truncation_for_mode(shape, mode, theta) for mode in (0, 1, 2)]
 
 
+def mode_step(m, t_k, rho, mode, trunc, alpha):
+    """One mode's x_k from the previous m and its own dual, on fresh tensors."""
+    return fold(truncated_svt(unfold(m - t_k / rho, mode), trunc, alpha / rho), mode, m.shape)
+
+
+def run_update_x(m, t, rho, truncs, cfg):
+    """update_x on buffers it must overwrite: the x sum, with t updated in place."""
+    s = np.full(m.shape, np.nan)
+    update_x(s, np.full(m.size, np.nan), m, t, rho, truncs, cfg)
+    return s
+
+
 class TestStartState:
     """solve starts from the observed entries with zeros elsewhere, zero duals and rho0."""
 
     def first_iteration(self, y, mask, cfg):
-        x = np.empty((3, *y.shape))
-        t = np.zeros_like(x)
-        update_x(x, np.where(mask, y, 0.0), t, cfg.rho0, truncs_for(y.shape, cfg.theta), cfg)
-        return update_m(x, t, cfg.rho0, y, mask)
+        t = np.zeros((3, *y.shape))
+        s = run_update_x(np.where(mask, y, 0.0), t, cfg.rho0, truncs_for(y.shape, cfg.theta), cfg)
+        update_m(s, y, mask)
+        return s
 
     def test_fully_observed(self):
         y, _ = small_problem()
@@ -96,19 +109,24 @@ class TestStartState:
 
 
 class TestUpdateX:
+    """update_x leaves sum_k x_k in s and rho * x_k added to each dual t[k]."""
+
     def test_zero_shrinkage_limit(self):
         y, _ = small_problem()
         cfg = SolverConfig(theta=0.1)
-        x = np.empty((3, *y.shape))
-        update_x(x, y, np.zeros_like(x), 1e12, truncs_for(y.shape, 0.1), cfg)  # tau -> 0
+        rho = 1e12  # tau -> 0
+        t = np.zeros((3, *y.shape))
+        s = run_update_x(y, t, rho, truncs_for(y.shape, 0.1), cfg)
+        assert np.allclose(s, 3 * y, rtol=1e-6, atol=3e-6)
         for mode in (0, 1, 2):
-            assert np.allclose(x[mode], y, rtol=1e-6, atol=1e-6)
+            assert np.allclose(t[mode] / rho, y, rtol=1e-6, atol=1e-6)
 
     def test_zero_state_stays_zero(self):
         m = np.zeros((4, 5, 6))
-        x = np.ones((3, *m.shape))
-        update_x(x, m, np.zeros_like(x), 1.0, truncs_for(m.shape, 0.1), SolverConfig(theta=0.1))
-        assert np.array_equal(x, np.zeros_like(x))
+        t = np.zeros((3, *m.shape))
+        s = run_update_x(m, t, 1.0, truncs_for(m.shape, 0.1), SolverConfig(theta=0.1))
+        assert np.array_equal(s, np.zeros_like(m))
+        assert np.array_equal(t, np.zeros_like(t))
 
     def test_diagonal_structured_hand_case(self):
         # every unfolding of this tensor has singular values (3, 1); with
@@ -117,15 +135,18 @@ class TestUpdateX:
         m[0, 0, 0] = 3.0
         m[1, 1, 1] = 1.0
         cfg = SolverConfig(theta=0.5)  # ceil(0.5 * 2) = 1 kept per mode
-        x = np.empty((3, *m.shape))
-        update_x(x, m, np.zeros_like(x), cfg.alphas[0], truncs_for(m.shape, 0.5), cfg)  # tau = 1
+        rho = cfg.alphas[0]  # tau = 1
+        t = np.zeros((3, *m.shape))
+        s = run_update_x(m, t, rho, truncs_for(m.shape, 0.5), cfg)
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = 3.0
+        assert np.allclose(s, 3 * expected, atol=1e-10)
         for mode in (0, 1, 2):
-            assert np.allclose(x[mode], expected, atol=1e-10)
+            x_k = t[mode] / rho
+            assert np.allclose(x_k, expected, atol=1e-10)
             # cross-check against the shrinkage kernel applied directly
             oracle = truncated_svt(unfold(m, mode), 1, 1.0)
-            assert np.allclose(unfold(x[mode], mode), oracle, atol=1e-12)
+            assert np.allclose(unfold(x_k, mode), oracle, atol=1e-12)
 
     def test_reads_only_previous_m_and_own_dual(self):
         # each mode equals its own standalone step, run here in reverse
@@ -137,67 +158,60 @@ class TestUpdateX:
         rho = 0.01
         t = np.stack([0.001 * np.ones_like(y) * (k + 1) for k in range(3)])
         m_before, t_before = m.copy(), t.copy()
-        x = np.full((3, *y.shape), np.nan)
-        update_x(x, m, t, rho, truncs, cfg)
-        assert np.array_equal(m, m_before) and np.array_equal(t, t_before)
+        s = run_update_x(m, t, rho, truncs, cfg)
+        assert np.array_equal(m, m_before)
+        own = [None] * 3
         for mode in (2, 1, 0):
-            z = unfold(m - t[mode] / rho, mode)
-            own = fold(truncated_svt(z, truncs[mode], cfg.alphas[mode] / rho), mode, y.shape)
-            assert np.array_equal(x[mode], own)
-        t[1] += 5.0
-        other = np.empty_like(x)
-        update_x(other, m, t, rho, truncs, cfg)
-        assert np.array_equal(other[0], x[0]) and np.array_equal(other[2], x[2])
-        assert not np.array_equal(other[1], x[1])
+            own[mode] = mode_step(m, t_before[mode], rho, mode, truncs[mode], cfg.alphas[mode])
+            assert np.array_equal(t[mode], t_before[mode] + rho * own[mode])
+        assert np.array_equal(s, sum(own))
+        t_other = t_before.copy()
+        t_other[1] += 5.0
+        run_update_x(m, t_other, rho, truncs, cfg)
+        assert np.array_equal(t_other[0], t[0]) and np.array_equal(t_other[2], t[2])
+        assert not np.array_equal(t_other[1] - 5.0, t[1])
 
 
 class TestUpdateM:
     def test_average_of_identical_terms(self):
         y, mask = small_problem(seed=1)
         common = np.full(y.shape, 2.5)
-        x = np.stack([common, common, common])
-        out = update_m(x, np.zeros_like(x), 0.3, y, mask)
-        assert np.array_equal(out[~mask], common[~mask])
+        s = common + common + common
+        update_m(s, y, mask)
+        assert np.array_equal(s[~mask], common[~mask])
 
     def test_observed_entries_pinned(self):
         y, mask = small_problem(seed=2)
-        x = np.zeros((3, *y.shape))
-        out = update_m(x, np.zeros_like(x), 1.0, y, mask)
-        assert np.array_equal(out[mask], y[mask])
-
-    def test_dual_only_candidate(self):
-        # x all zero, every dual entry equal to rho -> candidate of ones
-        y = np.zeros((3, 4, 5))
-        mask = np.zeros(y.shape, bool)
-        mask[0, 0, 0] = True
-        rho = 0.7
-        x = np.zeros((3, *y.shape))
-        out = update_m(x, np.full_like(x, rho), rho, y, mask)
-        assert np.allclose(out[~mask], 1.0)
+        s = np.zeros(y.shape)
+        update_m(s, y, mask)
+        assert np.array_equal(s[mask], y[mask])
 
 
 class TestUpdateT:
+    """update_t is the m half of the dual step; update_x adds the x half."""
+
     def test_zero_residual_keeps_duals(self):
         y, _ = small_problem(seed=4)
+        rho = 2.0
         t = np.full((3, *y.shape), 0.25)
-        update_t(t, np.stack([y, y, y]), y, 2.0)
-        assert np.array_equal(t, np.full_like(t, 0.25))
+        t += rho * np.stack([y, y, y])  # the x half with every x_k equal to m
+        update_t(t, y, rho, np.empty_like(y))
+        assert np.allclose(t, 0.25, rtol=0, atol=1e-12)
 
     def test_hand_computed_step(self):
-        m = np.zeros((2, 3, 4))
-        t = np.zeros((3, *m.shape))
-        update_t(t, np.ones_like(t), m, 2.0)  # x - m = 1 everywhere
-        assert np.array_equal(t, np.full_like(t, 2.0))
+        m = np.ones((2, 3, 4))
+        t = np.full((3, *m.shape), 0.5)
+        update_t(t, m, 2.0, np.empty_like(m))  # 0.5 - 2 * 1
+        assert np.array_equal(t, np.full_like(t, -1.5))
 
     def test_stacked_update_equals_per_mode(self):
         rng = np.random.default_rng(8)
         m = rng.standard_normal((3, 4, 2))
         t_list = [rng.standard_normal(m.shape) for _ in range(3)]
-        x_list = [rng.standard_normal(m.shape) for _ in range(3)]
         rho = 1.3
-        per_mode = [t_k + rho * (x_k - m) for x_k, t_k in zip(x_list, t_list)]
+        per_mode = [t_k - rho * m for t_k in t_list]
         t = np.stack(t_list)
-        update_t(t, np.stack(x_list), m, rho)
+        update_t(t, m, rho, np.empty_like(m))
         assert np.array_equal(t, np.stack(per_mode))
 
 
@@ -301,6 +315,31 @@ class TestSolve:
 
 
 def reference_solve(y, mask, cfg):
+    """The iteration in its per-mode list form, one fresh tensor per step.
+
+    The steps are solve's: the consensus average has no dual term, and the
+    dual step is split into its x half and its m half.
+    """
+    truncs = truncs_for(y.shape, cfg.theta)
+    m = np.where(mask, y, 0.0)
+    t = [np.zeros_like(m) for _ in range(3)]
+    rho = cfg.rho0
+    obs_norm = float(np.linalg.norm(y[mask]))
+    trace, rho_trace = [], []
+    for _ in range(cfg.max_iter):
+        x = [mode_step(m, t[k], rho, k, truncs[k], cfg.alphas[k]) for k in range(3)]
+        t = [t_k + rho * x_k for x_k, t_k in zip(x, t)]
+        m_old, m = m, np.where(mask, y, sum(x) / 3.0)
+        t = [t_k - rho * m for t_k in t]
+        rho = min(cfg.rho_mult * rho, cfg.rho_max)
+        trace.append(frobenius_norm(m - m_old) / obs_norm)
+        rho_trace.append(rho)
+        if trace[-1] < cfg.epsilon:
+            break
+    return m, trace, rho_trace
+
+
+def paper_reference_solve(y, mask, cfg):
     """The iteration in its per-mode list form, one fresh tensor per step."""
     truncs = truncs_for(y.shape, cfg.theta)
     m = np.where(mask, y, 0.0)
@@ -325,44 +364,73 @@ def reference_solve(y, mask, cfg):
     return m, trace, rho_trace
 
 
+def loop_cases():
+    y, _ = small_problem(seed=15)
+    for pattern in (generate_rm_mask, generate_nm_mask):
+        mask = pattern(y.shape, 0.4, seed=515)
+        for theta in (0.0, 0.1):
+            yield y, mask, SolverConfig(theta=theta)
+
+
 class TestSolveLoopInvariants:
     """Drive the iteration manually through the update steps."""
 
     def run_manual(self, y, mask, cfg):
-        """Every recovered tensor from the start state on, the last x and the trace."""
+        """Every recovered tensor from the start state on, the last iteration's
+        x_k, the trace, and per iteration ``||sum_k t[k] on the missing
+        entries|| / ||t||``."""
         truncs = truncs_for(y.shape, cfg.theta)
         ms = [np.where(mask, y, 0.0)]
-        x = np.zeros((3, *y.shape))
-        t = np.zeros_like(x)
+        s, work, scratch = np.empty_like(y), np.empty(y.size), np.empty_like(y)
+        t = np.zeros((3, *y.shape))
         rho = cfg.rho0
         obs_norm = float(np.linalg.norm(y[mask]))
-        trace = []
+        trace, dual_sums = [], []
         for _ in range(cfg.max_iter):
-            update_x(x, ms[-1], t, rho, truncs, cfg)
-            ms.append(update_m(x, t, rho, y, mask))
-            update_t(t, x, ms[-1], rho)
+            t_prev, rho_prev = t.copy(), rho
+            update_x(s, work, ms[-1], t, rho, truncs, cfg)
+            update_m(s, y, mask)
+            ms.append(s.copy())
+            update_t(t, ms[-1], rho, scratch)
             rho = min(cfg.rho_mult * rho, cfg.rho_max)
             trace.append(frobenius_norm(ms[-1] - ms[-2]) / obs_norm)
+            dual_sums.append(np.linalg.norm(t.sum(axis=0)[~mask]) / np.linalg.norm(t))
             if trace[-1] < cfg.epsilon:
                 break
-        return ms, x, trace
+        x = [mode_step(ms[-2], t_prev[k], rho_prev, k, truncs[k], cfg.alphas[k]) for k in range(3)]
+        return ms, x, trace, dual_sums
 
     def test_manual_loop_matches_solve(self):
-        y, _ = small_problem(seed=15)
-        for pattern in (generate_rm_mask, generate_nm_mask):
-            mask = pattern(y.shape, 0.4, seed=515)
-            for theta in (0.0, 0.1):
-                cfg = SolverConfig(theta=theta)
-                m, trace, rho_trace = reference_solve(y, mask, cfg)
-                result = solve(y, mask, cfg)
-                assert np.array_equal(m, result.recovered)
-                assert trace == result.trace
-                assert rho_trace == result.rho_trace
+        for y, mask, cfg in loop_cases():
+            m, trace, rho_trace = reference_solve(y, mask, cfg)
+            result = solve(y, mask, cfg)
+            assert np.array_equal(m, result.recovered)
+            assert trace == result.trace
+            assert rho_trace == result.rho_trace
+
+    def test_solve_matches_the_paper_iteration(self):
+        # dropping the dual term of the consensus average and splitting the
+        # dual step change the iterates by rounding only
+        for y, mask, cfg in loop_cases():
+            m, trace, rho_trace = paper_reference_solve(y, mask, cfg)
+            result = solve(y, mask, cfg)
+            assert result.iterations == len(trace)
+            assert result.converged == (trace[-1] < cfg.epsilon)
+            assert result.rho_trace == rho_trace
+            assert frobenius_norm(result.recovered - m) <= 1e-10 * frobenius_norm(m)
+            assert np.allclose(result.trace, trace, rtol=1e-6, atol=0)
+
+    def test_duals_sum_to_zero_on_missing(self):
+        # the identity that removes the dual term from the consensus average
+        y, mask = small_problem(seed=16, dims=(20, 14, 18))
+        _, _, trace, dual_sums = self.run_manual(y, mask, SolverConfig(theta=0.15))
+        assert len(dual_sums) == len(trace) > 1
+        assert max(dual_sums) <= 1e-12
 
     def test_consensus_residual_small_at_convergence(self):
         y, mask = small_problem(seed=16, dims=(20, 14, 18))
         cfg = SolverConfig(theta=0.15)
-        ms, x, trace = self.run_manual(y, mask, cfg)
+        ms, x, trace, _ = self.run_manual(y, mask, cfg)
         assert trace[-1] < cfg.epsilon
         m_norm = frobenius_norm(ms[-1])
         for x_k in x:
@@ -374,10 +442,27 @@ class TestSolveLoopInvariants:
         # are supported on the missing entries only
         y, mask = small_problem(seed=17)
         cfg = SolverConfig(theta=0.1, max_iter=5)
-        ms, _, _ = self.run_manual(y, mask, cfg)
+        ms, _, _, _ = self.run_manual(y, mask, cfg)
         assert len(ms) == 6
         for previous, current in zip(ms, ms[1:]):
             assert not (current - previous)[mask].any()
+
+
+def test_peak_memory_of_a_solve():
+    # the duals, m, the x sum and the work buffer (which the SVT reads as a
+    # view) are six tensors; the SVT's right factor and output add two more
+    y = synth_lowrank((30, 20, 40), 3, value_offset=10.0, seed=19)
+    mask = generate_rm_mask(y.shape, 0.4, seed=519)
+    cfg = SolverConfig(theta=0.1, max_iter=20)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        solve(y, mask, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 9 * y.nbytes
 
 
 def lapack_thin_svd(matrix):

@@ -13,14 +13,13 @@ from lrtc import (
 
 
 def column_index(indices, dims, mode):
-    """Independent oracle for the unfolding bijection: remaining axes vary
-    fastest in ascending axis order."""
-    j, stride = 0, 1
+    """Independent oracle for the unfolding bijection: the remaining axes in
+    ascending axis order, the last varying fastest (C order)."""
+    j = 0
     for axis in range(3):
         if axis == mode:
             continue
-        j += indices[axis] * stride
-        stride *= dims[axis]
+        j = j * dims[axis] + indices[axis]
     return j
 
 
@@ -44,7 +43,7 @@ class TestUnfold:
         # x[i1, i2, i3] = 4*i1 + 2*i2 + i3, enumerated by hand against the
         # canonical column order
         x = np.arange(8, dtype=float).reshape(2, 2, 2)
-        expected_mode0 = np.array([[0.0, 2.0, 1.0, 3.0], [4.0, 6.0, 5.0, 7.0]])
+        expected_mode0 = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]])
         assert np.array_equal(unfold(x, 0), expected_mode0)
         for mode in (0, 1, 2):
             mat = unfold(x, mode)
@@ -85,6 +84,20 @@ class TestFold:
         for i2 in range(3):
             for i3 in range(4):
                 assert t[0, i2, i3] == row[0, column_index((0, i2, i3), (1, 3, 4), 0)]
+
+    def test_fold_is_a_view_that_unfolds_to_a_view(self):
+        rng = np.random.default_rng(3)
+        dims = (3, 4, 5)
+        # a C-ordered tensor is mode-0 first, so its mode-0 unfolding is a view
+        x = rng.standard_normal(dims)
+        assert np.shares_memory(unfold(x, 0), x)
+        for mode in (0, 1, 2):
+            matrix = rng.standard_normal((dims[mode], 60 // dims[mode]))
+            tensor = fold(matrix, mode, dims)
+            assert np.shares_memory(tensor, matrix)
+            back = unfold(tensor, mode)
+            assert np.shares_memory(back, matrix)
+            assert np.array_equal(back, matrix)
 
     def test_zero_matrix(self):
         assert np.array_equal(fold(np.zeros((3, 20)), 1, (4, 3, 5)), np.zeros((4, 3, 5)))
