@@ -20,14 +20,27 @@ infinities and values that overflow to infinity are rejected with a
 ``path:line:column`` error. The writers refuse non-finite values in every
 entry they write as a number, and write each value as the ``repr`` of a
 Python float, the shortest text that reads back to the same double. Files are
-parsed and written a line at a time.
+parsed a line at a time. A tensor of at least ``2**17`` values is formatted on
+every core the process may use, in forked worker processes; the bytes written
+do not depend on the core count. Smaller tensors, and every save made off
+Linux, on one core or while another Python thread is alive, are formatted in
+the calling process. A save writes a temporary file beside its target and
+renames it over the target only once every line is written, so a failed save
+leaves the previous file as it was; a target that exists and is not a regular
+file (a FIFO, a symlink such as ``/dev/stdout``) is written in place.
 
 Run-configuration files are ``key = value`` lines (``#`` comments allowed)
 whose keys mirror the CLI flags; every value is range-checked while parsing so
 errors carry the offending line number.
 """
 
+import contextlib
 import math
+import os
+import stat
+import sys
+import threading
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -153,27 +166,128 @@ def _check_output(tensor, mask):
     return tensor, mask
 
 
-def _write_slabs(fh, slabs, masks, sep):
-    """Write each matrix ``slabs[i]`` as lines of ``sep``-joined values.
+# Below this many values a tensor is formatted in the calling process: pool
+# start-up and teardown (about 10 ms) cost as much as formatting 10k values.
+_PARALLEL_MIN_VALUES = 2**17
+# More chunks than workers, so the parent writes early chunks while the
+# workers format later ones.
+_CHUNKS_PER_WORKER = 4
+# (slabs, masks, sep) inside a formatting worker, inherited through fork.
+_worker_slabs = None
+
+
+def _format_slabs(slabs, masks, sep, start, stop):
+    """The lines of ``slabs[start:stop]``: each matrix row as ``sep``-joined values.
 
     A value is written as the ``repr`` of a Python float, the shortest text
     that reads back to the same double, and as ``nan`` where ``masks[i]`` is
-    False. One slab at a time goes through ``tolist``, so the Python floats
-    alive at once stay few.
+    False.
     """
-    for i, slab in enumerate(slabs):
-        if masks is not None:
-            slab = np.where(masks[i], slab, np.nan)
-        fh.write("\n".join(sep.join(map(repr, row)) for row in slab.tolist()) + "\n")
+    parts = []
+    for i in range(start, stop):
+        slab = slabs[i] if masks is None else np.where(masks[i], slabs[i], np.nan)
+        parts.append("\n".join(sep.join(map(repr, row)) for row in slab.tolist()) + "\n")
+    return "".join(parts)
+
+
+def _init_worker(slabs, masks, sep):
+    global _worker_slabs
+    _worker_slabs = (slabs, masks, sep)
+
+
+def _format_chunk(start, stop):
+    return _format_slabs(*_worker_slabs, start, stop)
+
+
+def _write_slabs(fh, slabs, masks, sep):
+    """Write each matrix ``slabs[i]`` as lines of ``sep``-joined values.
+
+    A tensor of at least ``_PARALLEL_MIN_VALUES`` values is cut into a few
+    contiguous runs of slabs, which worker processes format on every core the
+    process may use while the parent writes the returned text in order. The
+    workers are forked, so they inherit the arrays and nothing is pickled but
+    the text. Smaller tensors, and saves made off Linux, on one core or while
+    another Python thread is alive (forking one is unsafe), are formatted in
+    the calling process one slab at a time, so the Python floats alive at once
+    stay few. The bytes written are the same on either route and for any core
+    count.
+    """
+    workers = 1
+    if (
+        slabs.size >= _PARALLEL_MIN_VALUES
+        and sys.platform.startswith("linux")
+        and threading.active_count() == 1
+    ):
+        workers = min(len(os.sched_getaffinity(0)), len(slabs))
+    if workers < 2:
+        for i in range(len(slabs)):
+            fh.write(_format_slabs(slabs, masks, sep, i, i + 1))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = min(len(slabs), _CHUNKS_PER_WORKER * workers)
+    bounds = [len(slabs) * k // chunks for k in range(chunks + 1)]
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(slabs, masks, sep),
+    ) as pool:
+        for text in pool.map(_format_chunk, bounds[:-1], bounds[1:]):
+            fh.write(text)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file for writing that takes the place of ``path`` only on success.
+
+    The file is a temporary sibling of ``path`` with the existing file's
+    permission bits, renamed over ``path`` when the block completes and
+    removed when it raises. A ``path`` that exists and is not a regular file
+    (a FIFO, a symlink such as ``/dev/stdout``) is opened and written in place.
+    """
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        # name the file the caller asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _save(path, head, slabs, masks, sep):
+    """Write ``head``, then the lines of ``slabs``, to ``path`` (see ``_replacing``)."""
+    try:
+        with _replacing(path) as fh:
+            fh.write(head)
+            _write_slabs(fh, slabs, masks, sep)
+    except BrokenExecutor as exc:
+        raise OSError(f"cannot write {os.fspath(path)}: {exc}") from exc
 
 
 def save_dense(path, tensor, mask=None):
     """Write dense format; missing entries become ``nan`` only when a mask is given."""
     tensor, mask = _check_output(tensor, mask)
     n1, n2, n3 = tensor.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{n1} {n2} {n3}\n")
-        _write_slabs(fh, tensor, mask, " ")
+    _save(path, f"{n1} {n2} {n3}\n", tensor, mask, " ")
 
 
 def _looks_like_header(cells):
@@ -222,13 +336,13 @@ def save_matrix_csv(path, tensor, mask=None):
     """Write the stacked locations x (days*intervals) CSV (no header row)."""
     tensor, mask = _check_output(tensor, mask)
     n1 = tensor.shape[0]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_slabs(
-            fh,
-            tensor.reshape(n1, 1, -1),
-            None if mask is None else mask.reshape(n1, 1, -1),
-            ",",
-        )
+    _save(
+        path,
+        "",
+        tensor.reshape(n1, 1, -1),
+        None if mask is None else mask.reshape(n1, 1, -1),
+        ",",
+    )
 
 
 def load_tensor(path, fmt="dense", csv_dims=None):
@@ -283,7 +397,7 @@ _RUN_CONFIG_SCHEMA = {
         lambda t: _cfg_float(t, 0.0, 1.0, low_open=True, high_open=True),
         "a float strictly between 0 and 1",
     ),
-    "seed": (int, "an integer"),
+    "seed": (lambda t: _cfg_int(t, 0), "a nonnegative integer"),
     "input": (str, "a path"),
     "format": (lambda t: _cfg_choice(t, FORMATS), " or ".join(FORMATS)),
     "dims": (

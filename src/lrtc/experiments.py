@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DegenerateProblemError
-from .masks import MissingScenario, scenario_mask
+from .masks import MissingScenario, check_seed, scenario_mask
 from .metrics import mape, rmse
 from .solver import SolverConfig, solve, solver_config
 
@@ -136,6 +136,7 @@ def cross_validate_theta(
     ``seed`` but decoupled from the scenario's. Returns ``(best_theta,
     scores)`` with one ThetaScore per grid value, in grid order.
     """
+    check_seed(seed)
     theta_grid = tuple(float(t) for t in theta_grid)
     if not theta_grid:
         raise ConfigError("theta grid must not be empty")

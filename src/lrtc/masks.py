@@ -7,6 +7,7 @@ functions of (pattern, rate, seed, dims).
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -18,6 +19,12 @@ PATTERNS = ("rm", "nm")
 def _check_rate(rate):
     if not 0.0 < rate < 1.0:
         raise ConfigError(f"missing rate must lie strictly in (0, 1), got {rate}")
+
+
+def check_seed(seed):
+    """A random seed must be a nonnegative integer (``numpy`` rejects the rest)."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,7 @@ class MissingScenario:
         if self.pattern not in PATTERNS:
             raise ConfigError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         _check_rate(self.rate)
+        check_seed(self.seed)
 
 
 def generate_rm_mask(dims, rate, seed):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from .errors import ConfigError
+from .masks import check_seed
 
 
 def synth_lowrank(dims, rank, value_offset=10.0, seed=0, ones_factors=False):
@@ -18,6 +19,7 @@ def synth_lowrank(dims, rank, value_offset=10.0, seed=0, ones_factors=False):
         raise ConfigError(f"dims must be three positive integers, got {dims}")
     if not 1 <= rank <= min(dims):
         raise ConfigError(f"rank must lie in [1, {min(dims)}] for dims {dims}, got {rank}")
+    check_seed(seed)
     if ones_factors:
         a = np.ones((dims[0], rank))
         b = np.ones((dims[1], rank))

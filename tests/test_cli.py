@@ -232,6 +232,24 @@ class TestBenchmarkCommand:
         assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["benchmark", "--synth", "8", "6", "10", "2", "--pattern", "rm", "--rate", "0.3",
+         "--seed", "-1", "--theta", "0.1", "--report", "r.csv"],
+        ["benchmark", "--synth", "8", "6", "10", "2", "--synth-seed", "-1", "--pattern", "rm",
+         "--rate", "0.3", "--seed", "1", "--theta", "0.1", "--report", "r.csv"],
+        ["cv", "--input", "data.txt", "--pattern", "rm", "--rate", "0.3", "--seed", "-2"],
+        ["synth", "--dims", "4", "4", "4", "--rank", "1", "--seed", "-1", "--output", "s.txt"],
+    ],
+    ids=["benchmark", "synth-seed", "cv", "synth"],
+)
+def test_negative_seed_is_config_error(synth_file, monkeypatch, capsys, argv):
+    monkeypatch.chdir(synth_file.parent)
+    assert main(argv) == 3
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+
 class TestCvCommand:
     def test_table_and_selection(self, synth_file, capsys):
         rc = main(

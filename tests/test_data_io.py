@@ -1,3 +1,8 @@
+import concurrent.futures
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +19,8 @@ from lrtc import (
     load_tensor,
     save_tensor,
 )
+from lrtc import data_io
+from lrtc.cli import main
 from lrtc.data_io import load_dense, load_matrix_csv, save_dense, save_matrix_csv
 
 
@@ -518,14 +525,160 @@ def written_tensors(draw):
     return np.where(mask, tensor, hidden), mask
 
 
+_WRITERS = ((save_dense, _oracle_save_dense), (save_matrix_csv, _oracle_save_matrix_csv))
+
+
 @given(pair=written_tensors())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_writers_match_per_scalar_oracle(pair, tmp_path):
     tensor, mask = pair
-    for save, oracle in ((save_dense, _oracle_save_dense), (save_matrix_csv, _oracle_save_matrix_csv)):
+    for save, oracle in _WRITERS:
         save(tmp_path / "new", tensor, mask)
         oracle(tmp_path / "old", tensor, mask)
         assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+def _route_every_save_to_pool(monkeypatch, cores):
+    """Send saves of any size to the worker pool, as if ``cores`` cores were
+    usable; returns the worker count of every pool started."""
+    monkeypatch.setattr(data_io, "_PARALLEL_MIN_VALUES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return started
+
+
+@given(pair=written_tensors(), cores=st.sampled_from([1, 2, 3]), per_worker=st.sampled_from([1, 4]))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_parallel_writers_match_per_scalar_oracle(pair, cores, per_worker, tmp_path, monkeypatch):
+    tensor, mask = pair
+    started = _route_every_save_to_pool(monkeypatch, cores)
+    # one chunk per worker puts several slabs in a chunk
+    monkeypatch.setattr(data_io, "_CHUNKS_PER_WORKER", per_worker)
+    for save, oracle in _WRITERS:
+        save(tmp_path / "new", tensor, mask)
+        oracle(tmp_path / "old", tensor, mask)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+    # one pool per save, with no more workers than slabs; one worker is no pool
+    workers = min(cores, tensor.shape[0])
+    assert started == ([workers] * len(_WRITERS) if workers > 1 else [])
+
+
+def test_save_while_another_thread_lives_is_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_io, "_PARALLEL_MIN_VALUES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("forked a pool while another thread was alive")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    rng = np.random.default_rng(4)
+    tensor = rng.standard_normal((5, 3, 4))
+    mask = rng.random(tensor.shape) < 0.7
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, daemon=True)
+    thread.start()
+    try:
+        for save, oracle in _WRITERS:
+            save(tmp_path / "new", tensor, mask)
+            oracle(tmp_path / "old", tensor, mask)
+            assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _format_in_worker_then(fault):
+    parent = os.getpid()
+
+    def format_slabs(*args):
+        assert os.getpid() != parent, "the parent formatted a slab on the parallel route"
+        if fault == "exit":
+            os._exit(1)
+        raise ValueError("formatting failed")
+
+    return format_slabs
+
+
+class TestFailedSave:
+    @pytest.mark.parametrize("fmt", ["dense", "csv"])
+    @pytest.mark.parametrize("fault", ["raise", "exit"])
+    def test_failed_worker_keeps_previous_file(self, tmp_path, monkeypatch, capsys, fault, fmt):
+        path = tmp_path / "t"
+        save_tensor(path, np.ones((2, 2, 2)), fmt=fmt)
+        before = path.read_bytes()
+        _route_every_save_to_pool(monkeypatch, 2)
+        monkeypatch.setattr(data_io, "_format_slabs", _format_in_worker_then(fault))
+        error = (ValueError, "formatting failed") if fault == "raise" else (OSError, str(path))
+        with pytest.raises(error[0], match=error[1]):
+            save_tensor(path, np.zeros((3, 2, 2)), fmt=fmt)
+        if fault == "exit":
+            # the CLI reports a dead worker as a runtime error naming the file
+            argv = ["synth", "--dims", "3", "2", "2", "--rank", "1", "--output", str(path)]
+            assert main(argv + ["--format", fmt]) == 4
+            assert str(path) in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t"]
+
+    def test_serial_save_failing_midway_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t"
+        save_dense(path, np.ones((2, 2, 2)))
+        before = path.read_bytes()
+        real = data_io._format_slabs
+
+        def second_slab_fails(slabs, masks, sep, start, stop):
+            if start == 1:
+                raise RuntimeError("disk full")
+            return real(slabs, masks, sep, start, stop)
+
+        monkeypatch.setattr(data_io, "_format_slabs", second_slab_fails)
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_dense(path, np.zeros((2, 2, 2)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t"]
+
+    def test_missing_directory_error_names_the_target(self, tmp_path):
+        path = tmp_path / "absent" / "t"
+        with pytest.raises(FileNotFoundError) as info:
+            save_dense(path, np.ones((1, 1, 1)))
+        assert info.value.filename == str(path)
+
+    def test_replaced_file_keeps_its_permissions(self, tmp_path):
+        path = tmp_path / "t"
+        save_dense(path, np.ones((1, 1, 2)))
+        path.chmod(0o600)
+        save_dense(path, np.zeros((1, 1, 2)))
+        assert path.read_text(encoding="utf-8") == "1 1 2\n0.0 0.0\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert [p.name for p in tmp_path.iterdir()] == ["t"]
+
+    def test_symlink_target_is_written_through(self, tmp_path):
+        real = tmp_path / "real"
+        real.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link"
+        link.symlink_to(real)
+        save_dense(link, np.ones((1, 1, 1)))
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == "1 1 1\n1.0\n"
+
+    def test_fifo_target_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        save_dense(fifo, np.ones((1, 1, 2)))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [b"1 1 2\n1.0 1.0\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 class TestRunConfigFile:
@@ -580,6 +733,7 @@ class TestRunConfigFile:
             "rho_max = inf",
             "theta = nan",
             "rate = nan",
+            "seed = -1",
         ):
             path.write_text(line + "\n", encoding="utf-8")
             with pytest.raises(ParseError, match=":1"):

@@ -154,6 +154,12 @@ class TestCrossValidation:
         with pytest.raises(ConfigError):
             cross_validate_theta(data, native, scenario, theta_grid=(0.1,), validation_fraction=0.0)
 
+    def test_negative_seed_is_config_error(self, instance):
+        data, native = instance
+        scenario = MissingScenario("rm", 0.3, 2)
+        with pytest.raises(ConfigError, match="got -2"):
+            cross_validate_theta(data, native, scenario, theta_grid=(0.1,), seed=-2)
+
     def test_tie_breaks_to_smaller_theta(self):
         scores = [
             ThetaScore(theta=0.30, mape=5.0, rmse=1.0, iterations=10, converged=True),

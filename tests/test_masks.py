@@ -88,6 +88,11 @@ class TestMissingScenario:
         with pytest.raises(ConfigError):
             MissingScenario("rm", 1.2, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            MissingScenario("rm", 0.4, seed)
+
 
 @given(
     pattern=st.sampled_from(["rm", "nm"]),

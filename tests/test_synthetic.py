@@ -39,6 +39,10 @@ class TestSynthLowrank:
         with pytest.raises(ConfigError):
             synth_lowrank((4, 5, 6), 0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="got -1"):
+            synth_lowrank((4, 5, 6), 2, seed=-1)
+
     def test_bad_dims(self):
         with pytest.raises(ConfigError):
             synth_lowrank((4, 5), 2)
