@@ -24,7 +24,6 @@ from .synthetic import synth_lowrank
 from .experiments import (
     DEFAULT_THETA_GRID,
     EvaluationReport,
-    ThetaScore,
     cross_validate_theta,
     evaluation_mask,
     run_benchmark,
@@ -63,7 +62,6 @@ __all__ = [
     "synth_lowrank",
     "DEFAULT_THETA_GRID",
     "EvaluationReport",
-    "ThetaScore",
     "run_experiment",
     "run_benchmark",
     "cross_validate_theta",

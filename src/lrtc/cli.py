@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (including non-convergence, which only warns on
 stderr), 2 usage or file-parse errors, 3 configuration errors, 4 runtime
-errors. A run-configuration file (``--config``) supplies defaults for any
-flag the command line leaves unset. ``LRTC_JOBS`` sets the default worker
+errors. A run-configuration file (``--config``) supplies defaults for the
+flags the command line leaves unset, for the keys that
+``data_io.load_run_config`` accepts. ``LRTC_JOBS`` sets the default worker
 count for benchmarks.
 """
 

@@ -29,6 +29,10 @@ renames it over the target only once every line is written, so a failed save
 leaves the previous file as it was; a target that exists and is not a regular
 file (a FIFO, a symlink such as ``/dev/stdout``) is written in place.
 
+A loader allocates no more values than its file can fill, so a header or a
+(days, intervals) pair that promises more is a parse error. The dense loader
+bounds a regular file by its size; a FIFO is still sized by its header.
+
 Run-configuration files are ``key = value`` lines (``#`` comments allowed)
 whose keys mirror the CLI flags; every value is range-checked while parsing so
 errors carry the offending line number.
@@ -122,9 +126,12 @@ def load_dense(path):
             dims.append(d)
         dims = tuple(dims)
         count = dims[0] * dims[1] * dims[2]
-
-        values = np.zeros(count)
-        observed = np.ones(count, dtype=bool)
+        # A value and its separator take at least two bytes, so a regular file
+        # holds at most this many; a header that promises more allocates no more.
+        info = os.fstat(fh.fileno())
+        size = min(count, info.st_size // 2 + 1) if stat.S_ISREG(info.st_mode) else count
+        values = np.zeros(size)
+        observed = np.ones(size, dtype=bool)
         pos = 0
         line_no = 1
         for line_no, line in enumerate(fh, start=2):
@@ -316,8 +323,13 @@ def load_matrix_csv(path, days, intervals):
         if not rows:
             raise ParseError(f"{path}:2: no data rows after header")
     width = days * intervals
-    matrix = np.zeros((len(rows), width))
-    observed = np.ones((len(rows), width), dtype=bool)
+    # the loop below stops at the first row of another width, so only the
+    # rows ahead of it are allocated
+    stored = next(
+        (r for r, (_, line) in enumerate(rows) if line.count(",") != width - 1), len(rows)
+    )
+    matrix = np.zeros((stored, width))
+    observed = np.ones((stored, width), dtype=bool)
     for r, (line_no, line) in enumerate(rows):
         cells = line.split(",")
         if len(cells) != width:

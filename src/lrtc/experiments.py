@@ -6,6 +6,9 @@ are natively observed but scenario-masked (the ground truth is known exactly
 there and the solver never saw them). Scenario masks are generated over all
 indices, so the nominal rate refers to the full tensor.
 
+Theta cross-validation scores each candidate as an experiment whose native
+mask is the scenario-visible part and whose scenario is the holdout split.
+
 Runs over a (scenario x config) grid are independent; `run_benchmark` can
 fan them out over worker threads and always sorts the collected reports
 deterministically before returning them.
@@ -40,7 +43,7 @@ REPORT_COLUMNS = (
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """One benchmark row: scores plus the run that produced them."""
+    """One scored run (a benchmark row or a CV candidate) and what produced it."""
 
     mape: float
     rmse: float
@@ -53,20 +56,30 @@ class EvaluationReport:
     n_eval: int
 
 
-@dataclass(frozen=True)
-class ThetaScore:
-    """Cross-validation score of a single candidate theta."""
-
-    theta: float
-    mape: float
-    rmse: float
-    iterations: int
-    converged: bool
-
-
 def evaluation_mask(native_mask, scen_mask):
     """Entries scored by an experiment: natively observed but scenario-masked."""
     return np.asarray(native_mask, bool) & ~np.asarray(scen_mask, bool)
+
+
+def _scored_run(data, visible, held_out, scenario, config, solver, solve_fn=None):
+    """Solve on ``visible`` under ``config`` and score the ``held_out`` entries."""
+    runner = solve if solve_fn is None else solve_fn
+    start = time.perf_counter()
+    result = runner(data, visible, config)
+    wall_time = time.perf_counter() - start
+    truth = data[held_out]
+    estimate = result.recovered[held_out]
+    return EvaluationReport(
+        mape=mape(truth, estimate),
+        rmse=rmse(truth, estimate),
+        scenario=scenario,
+        solver=solver,
+        theta=config.theta,
+        iterations=result.iterations,
+        converged=result.converged,
+        wall_time=wall_time,
+        n_eval=int(held_out.sum()),
+    )
 
 
 def run_experiment(data, native_mask, scenario, config, solver="tnn", solve_fn=None):
@@ -79,29 +92,12 @@ def run_experiment(data, native_mask, scenario, config, solver="tnn", solve_fn=N
     native_mask = np.asarray(native_mask, bool)
     cfg = solver_config(solver, config)
     scen = scenario_mask(data.shape, scenario)
-    visible = native_mask & scen
     held_out = evaluation_mask(native_mask, scen)
     if not held_out.any():
         raise DegenerateProblemError(
             "scenario masked no natively observed entries; nothing to evaluate"
         )
-    runner = solve if solve_fn is None else solve_fn
-    start = time.perf_counter()
-    result = runner(data, visible, cfg)
-    wall_time = time.perf_counter() - start
-    truth = data[held_out]
-    estimate = result.recovered[held_out]
-    return EvaluationReport(
-        mape=mape(truth, estimate),
-        rmse=rmse(truth, estimate),
-        scenario=scenario,
-        solver=solver,
-        theta=cfg.theta,
-        iterations=result.iterations,
-        converged=result.converged,
-        wall_time=wall_time,
-        n_eval=int(held_out.sum()),
-    )
+    return _scored_run(data, native_mask & scen, held_out, scenario, cfg, solver, solve_fn)
 
 
 # Mixed into the cross-validation seed so the holdout stream never coincides
@@ -134,23 +130,20 @@ def cross_validate_theta(
     RM, whole fibers for NM) at ``validation_fraction``, so validation
     difficulty resembles the real task; its random stream is derived from
     ``seed`` but decoupled from the scenario's. Returns ``(best_theta,
-    scores)`` with one ThetaScore per grid value, in grid order.
+    scores)`` with one tnn EvaluationReport per grid value, in grid order.
     """
     check_seed(seed)
-    theta_grid = tuple(float(t) for t in theta_grid)
-    if not theta_grid:
+    base = base_config if base_config is not None else SolverConfig(theta=0.0)
+    configs = [replace(base, theta=float(theta)) for theta in theta_grid]
+    if not configs:
         raise ConfigError("theta grid must not be empty")
-    for theta in theta_grid:
-        if not 0.0 <= theta < 1.0:
-            raise ConfigError(f"grid theta must lie in [0, 1), got {theta}")
     if not 0.0 < validation_fraction < 1.0:
         raise ConfigError(
             f"validation fraction must lie in (0, 1), got {validation_fraction}"
         )
     data = np.asarray(data, dtype=float)
     native_mask = np.asarray(native_mask, bool)
-    scen = scenario_mask(data.shape, scenario)
-    visible = native_mask & scen
+    visible = native_mask & scenario_mask(data.shape, scenario)
     holdout = MissingScenario(scenario.pattern, validation_fraction, _holdout_seed(seed))
     holdout_keep = scenario_mask(data.shape, holdout)
     val_mask = visible & ~holdout_keep
@@ -159,21 +152,7 @@ def cross_validate_theta(
         raise DegenerateProblemError("holdout split left nothing to validate on")
     if not train_mask.any():
         raise DegenerateProblemError("holdout split left nothing to train on")
-    base = base_config if base_config is not None else SolverConfig(theta=0.0)
-    truth = data[val_mask]
-    scores = []
-    for theta in theta_grid:
-        result = solve(data, train_mask, replace(base, theta=theta))
-        estimate = result.recovered[val_mask]
-        scores.append(
-            ThetaScore(
-                theta=theta,
-                mape=mape(truth, estimate),
-                rmse=rmse(truth, estimate),
-                iterations=result.iterations,
-                converged=result.converged,
-            )
-        )
+    scores = [_scored_run(data, train_mask, val_mask, holdout, cfg, "tnn") for cfg in configs]
     return select_best_theta(scores), scores
 
 
@@ -212,35 +191,32 @@ def run_benchmark(data, native_mask, scenarios, solver_runs, jobs=1):
     return sorted(reports, key=_report_sort_key)
 
 
-def _report_cells(report):
+def _report_row(report):
+    """The REPORT_COLUMNS values, typed; a float's ``str`` is its ``repr``."""
+    scenario = report.scenario
     return (
-        report.scenario.pattern,
-        repr(float(report.scenario.rate)),
-        str(report.scenario.seed),
+        scenario.pattern,
+        float(scenario.rate),
+        int(scenario.seed),
         report.solver,
-        repr(float(report.theta)),
-        repr(float(report.mape)),
-        repr(float(report.rmse)),
-        str(report.iterations),
-        repr(float(report.wall_time)),
+        float(report.theta),
+        float(report.mape),
+        float(report.rmse),
+        int(report.iterations),
+        float(report.wall_time),
     )
 
 
 def write_report_csv(reports, path):
     """Machine-readable report: full-precision values, UTF-8, LF endings."""
     lines = [",".join(REPORT_COLUMNS)]
-    lines.extend(",".join(_report_cells(r)) for r in reports)
+    lines.extend(",".join(map(str, _report_row(r))) for r in reports)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_report_json(reports, path):
-    rows = [dict(zip(REPORT_COLUMNS, _report_cells(r))) for r in reports]
-    for row in rows:
-        for key in ("rate", "theta", "mape", "rmse", "wall_time"):
-            row[key] = float(row[key])
-        for key in ("seed", "iterations"):
-            row[key] = int(row[key])
+    rows = [dict(zip(REPORT_COLUMNS, _report_row(r))) for r in reports]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(rows, fh, indent=2)
         fh.write("\n")

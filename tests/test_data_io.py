@@ -71,6 +71,17 @@ class TestDenseFormat:
         with pytest.raises(ParseError, match="expected 8 values, found 3"):
             load_dense(path)
 
+    def test_header_larger_than_the_file_is_parse_error(self, tmp_path, capsys):
+        # the header promises ~8 PB of values, far beyond any machine's memory,
+        # so an array sized by it could never be allocated
+        path = tmp_path / "t.txt"
+        path.write_text("100000 100000 100000\n1 2 3\n", encoding="utf-8")
+        output = tmp_path / "o.txt"
+        argv = ["impute", "--input", str(path), "--theta", "0.1", "--output", str(output)]
+        assert main(argv) == 2
+        assert "expected 1000000000000000 values, found 3" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_too_many_values(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("1 1 2\n1 2 3\n", encoding="utf-8")
@@ -165,6 +176,20 @@ class TestMatrixCsvFormat:
         path.write_text("1.0,2.0,3.0\n", encoding="utf-8")
         with pytest.raises(ParseError, match=":1"):
             load_matrix_csv(path, 2, 2)
+
+    def test_dims_wider_than_the_file_is_parse_error(self, tmp_path, capsys):
+        # --dims promise rows of 10**14 cells (~800 TB as floats), which could
+        # never be allocated
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3\n", encoding="utf-8")
+        output = tmp_path / "o.csv"
+        argv = [
+            "impute", "--input", str(path), "--format", "csv", "--dims", "10000000", "10000000",
+            "--theta", "0.1", "--output", str(output),
+        ]
+        assert main(argv) == 2
+        assert "expected 100000000000000 columns (days*intervals), got 3" in capsys.readouterr().err
+        assert not output.exists()
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)

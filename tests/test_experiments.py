@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from lrtc import (
     ConfigError,
     DegenerateProblemError,
+    EvaluationReport,
     MissingScenario,
     SolverConfig,
     SolverResult,
-    ThetaScore,
     cross_validate_theta,
     evaluation_mask,
     run_benchmark,
@@ -18,6 +19,7 @@ from lrtc import (
     select_best_theta,
     synth_lowrank,
 )
+from lrtc import experiments
 from lrtc.experiments import REPORT_COLUMNS, write_report_csv, write_report_json
 
 DIMS = (12, 9, 14)
@@ -160,13 +162,48 @@ class TestCrossValidation:
         with pytest.raises(ConfigError, match="got -2"):
             cross_validate_theta(data, native, scenario, theta_grid=(0.1,), seed=-2)
 
+    def test_bad_grid_theta_fails_before_any_solve(self, instance, monkeypatch):
+        data, native = instance
+        calls = []
+        monkeypatch.setattr(experiments, "solve", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match=r"theta must lie in \[0, 1\), got 1.5"):
+            cross_validate_theta(data, native, MissingScenario("rm", 0.3, 2), theta_grid=(0.1, 1.5))
+        assert calls == []
+
     def test_tie_breaks_to_smaller_theta(self):
-        scores = [
-            ThetaScore(theta=0.30, mape=5.0, rmse=1.0, iterations=10, converged=True),
-            ThetaScore(theta=0.10, mape=5.0, rmse=1.2, iterations=10, converged=True),
-            ThetaScore(theta=0.20, mape=7.0, rmse=0.9, iterations=10, converged=True),
-        ]
+        holdout = MissingScenario("rm", 0.2, 1)
+
+        def score(theta, mape, rmse):
+            return EvaluationReport(
+                mape=mape, rmse=rmse, scenario=holdout, solver="tnn", theta=theta,
+                iterations=10, converged=True, wall_time=0.0, n_eval=1,
+            )
+
+        scores = [score(0.30, 5.0, 1.0), score(0.10, 5.0, 1.2), score(0.20, 7.0, 0.9)]
         assert select_best_theta(scores) == 0.10
+
+    @pytest.mark.parametrize("pattern", ["rm", "nm"])
+    def test_each_score_is_a_run_experiment(self, instance, pattern):
+        # a candidate is the experiment whose native mask is the scenario-visible
+        # part and whose scenario is the holdout split
+        data, _ = instance
+        native = np.random.default_rng(3).random(DIMS) < 0.95
+        scenario = MissingScenario(pattern, 0.3, 6)
+        base = SolverConfig(theta=0.0, max_iter=30)
+        grid = (0.0, 0.1, 0.25)
+        best, scores = cross_validate_theta(
+            data, native, scenario, theta_grid=grid, validation_fraction=0.2, seed=6, base_config=base
+        )
+        visible = native & scenario_mask(DIMS, scenario)
+        assert [s.theta for s in scores] == list(grid)
+        for theta, score in zip(grid, scores):
+            assert score.solver == "tnn"
+            assert (score.scenario.pattern, score.scenario.rate) == (pattern, 0.2)
+            ref = run_experiment(data, visible, score.scenario, replace(base, theta=theta))
+            assert (score.mape, score.rmse, score.iterations, score.converged, score.n_eval) == (
+                ref.mape, ref.rmse, ref.iterations, ref.converged, ref.n_eval,
+            )
+        assert best == select_best_theta(scores)
 
 
 class TestBenchmark:
