@@ -29,9 +29,11 @@ renames it over the target only once every line is written, so a failed save
 leaves the previous file as it was; a target that exists and is not a regular
 file (a FIFO, a symlink such as ``/dev/stdout``) is written in place.
 
-A loader allocates no more values than its file can fill, so a header or a
-(days, intervals) pair that promises more is a parse error. The dense loader
-bounds a regular file by its size; a FIFO is still sized by its header.
+Files are read as UTF-8; a byte that is not UTF-8 is a parse error naming the
+file but no line. A loader's flat arrays start empty and at least double, in
+place, as they fill: up to the header's count for dense, trimmed to the rows
+read for CSV. So a header or (days, intervals) pair that promises more values
+than the file holds allocates no more than the file fills, and is a parse error.
 
 Run-configuration files are ``key = value`` lines (``#`` comments allowed)
 whose keys mirror the CLI flags; every value is range-checked while parsing so
@@ -55,21 +57,19 @@ from .tensor_ops import _check_pair, _check_tensor3
 FORMATS = ("dense", "csv")
 
 
-def _parse_value(token, path, line_no, col_no):
-    """One numeric cell: a float, or None for a missing-entry marker."""
-    if token.lower() == "nan":
-        return None
+# Capacity, in values, of a loader's arrays once its first row arrives.
+_START_VALUES = 1 << 16
+
+
+@contextlib.contextmanager
+def _utf8_text(path):
+    """``path`` open as UTF-8 text; a byte that is not UTF-8 is a ``ParseError``
+    naming the file but no line, as decoding runs a chunk ahead of the lines."""
     try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(
-            f"{path}:{line_no}:{col_no}: cannot parse {token!r} as a number"
-        ) from None
-    if not np.isfinite(value):
-        raise ParseError(
-            f"{path}:{line_no}:{col_no}: non-finite value {token!r} is not allowed"
-        )
-    return value
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_row(tokens, path, line_no):
@@ -78,8 +78,7 @@ def _parse_row(tokens, path, line_no):
     The whole row goes through ``float`` at once. A NaN counts as missing only
     when its token is ``nan`` itself (``float`` also reads ``+nan`` and
     ``-nan``), and every other value must be finite. A row that fails either
-    check is read again a token at a time by :func:`_parse_value`, which
-    raises on the first bad token with its line and column.
+    check holds a bad token; the first one is raised with its line and column.
     """
     try:
         values = np.array(list(map(float, tokens)), dtype=float)
@@ -91,20 +90,42 @@ def _parse_row(tokens, path, line_no):
             values[missing] = 0.0
             if np.isfinite(values).all():
                 return values, missing
-    values = np.zeros(len(tokens))
-    missing = np.zeros(len(tokens), dtype=bool)
-    for j, token in enumerate(tokens):
-        value = _parse_value(token, path, line_no, j + 1)
-        if value is None:
-            missing[j] = True
-        else:
-            values[j] = value
-    return values, missing
+    for col_no, token in enumerate(tokens, start=1):
+        try:
+            bad = token.lower() != "nan" and not math.isfinite(float(token))
+        except ValueError:
+            raise ParseError(
+                f"{path}:{line_no}:{col_no}: cannot parse {token!r} as a number"
+            ) from None
+        if bad:
+            raise ParseError(f"{path}:{line_no}:{col_no}: non-finite value {token!r} is not allowed")
+
+
+def _store(values, observed, pos, tokens, path, line_no, cap):
+    """Parse one line's ``tokens`` into ``values`` and ``observed`` from ``pos``
+    on, and return the position after them; passing ``cap`` values is an error.
+
+    Both arrays grow in place when full, at least doubling from
+    ``_START_VALUES``. ``refcheck=False`` is safe because a loader takes no
+    view of them before its last line is stored.
+    """
+    end = pos + len(tokens)
+    if end > cap:
+        # tokens ahead of the overflow column are still checked first
+        _parse_row(tokens[: cap - pos], path, line_no)
+        raise ParseError(f"{path}:{line_no}:{cap - pos + 1}: more than {cap} values in file")
+    if end > len(values):
+        size = min(max(end, 2 * len(values), _START_VALUES), cap)
+        values.resize(size, refcheck=False)
+        observed.resize(size, refcheck=False)
+    values[pos:end], missing = _parse_row(tokens, path, line_no)
+    observed[pos:end] = ~missing
+    return end
 
 
 def load_dense(path):
     """Read a dense-format file into (tensor, mask)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         first = fh.readline()
         if not first:
             raise ParseError(f"{path}:1: empty file; expected an 'n1 n2 n3' header")
@@ -124,30 +145,11 @@ def load_dense(path):
             if d < 1:
                 raise ParseError(f"{path}:1:{col_no}: dimensions must be positive, got {d}")
             dims.append(d)
-        dims = tuple(dims)
-        count = dims[0] * dims[1] * dims[2]
-        # A value and its separator take at least two bytes, so a regular file
-        # holds at most this many; a header that promises more allocates no more.
-        info = os.fstat(fh.fileno())
-        size = min(count, info.st_size // 2 + 1) if stat.S_ISREG(info.st_mode) else count
-        values = np.zeros(size)
-        observed = np.ones(size, dtype=bool)
-        pos = 0
-        line_no = 1
+        count = math.prod(dims)
+        values, observed = np.empty(0), np.empty(0, dtype=bool)
+        pos, line_no = 0, 1
         for line_no, line in enumerate(fh, start=2):
-            tokens = line.split()
-            room = count - pos
-            if len(tokens) > room:
-                # tokens ahead of the overflow column are still checked first
-                _parse_row(tokens[:room], path, line_no)
-                raise ParseError(
-                    f"{path}:{line_no}:{room + 1}: more than {count} values in file"
-                )
-            row, missing = _parse_row(tokens, path, line_no)
-            end = pos + len(tokens)
-            values[pos:end] = row
-            observed[pos:end] = ~missing
-            pos = end
+            pos = _store(values, observed, pos, line.split(), path, line_no, count)
     if pos != count:
         raise ParseError(f"{path}:{line_no}: expected {count} values, found {pos}")
     return values.reshape(dims), observed.reshape(dims)
@@ -314,34 +316,32 @@ def load_matrix_csv(path, days, intervals):
     days, intervals = int(days), int(intervals)
     if days < 1 or intervals < 1:
         raise ConfigError(f"days and intervals must be positive, got {days}, {intervals}")
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(no, line) for no, line in enumerate(fh, start=1) if line.strip()]
-    if not rows:
-        raise ParseError(f"{path}:1: empty file")
-    if _looks_like_header(rows[0][1].split(",")):
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}:2: no data rows after header")
     width = days * intervals
-    # the loop below stops at the first row of another width, so only the
-    # rows ahead of it are allocated
-    stored = next(
-        (r for r, (_, line) in enumerate(rows) if line.count(",") != width - 1), len(rows)
-    )
-    matrix = np.zeros((stored, width))
-    observed = np.ones((stored, width), dtype=bool)
-    for r, (line_no, line) in enumerate(rows):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(
-                f"{path}:{line_no}: expected {width} columns (days*intervals), got {len(cells)}"
-            )
-        # an empty cell marks a missing entry, exactly as nan does
-        tokens = [cell.strip() or "nan" for cell in cells]
-        matrix[r], missing = _parse_row(tokens, path, line_no)
-        observed[r] = ~missing
-    shape = (len(rows), days, intervals)
-    return matrix.reshape(shape), observed.reshape(shape)
+    values, observed = np.empty(0), np.empty(0, dtype=bool)
+    pos = 0
+    header = False
+    with _utf8_text(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            # only the first non-blank line may be a header
+            if not (pos or header) and _looks_like_header(cells):
+                header = True
+                continue
+            if len(cells) != width:
+                raise ParseError(
+                    f"{path}:{line_no}: expected {width} columns (days*intervals), got {len(cells)}"
+                )
+            # an empty cell marks a missing entry, exactly as nan does
+            tokens = [cell.strip() or "nan" for cell in cells]
+            pos = _store(values, observed, pos, tokens, path, line_no, math.inf)
+    if not pos:
+        raise ParseError(f"{path}:2: no data rows after header" if header else f"{path}:1: empty file")
+    values.resize(pos, refcheck=False)
+    observed.resize(pos, refcheck=False)
+    shape = (pos // width, days, intervals)
+    return values.reshape(shape), observed.reshape(shape)
 
 
 def save_matrix_csv(path, tensor, mask=None):
@@ -446,7 +446,7 @@ def _cfg_pair(token):
 def load_run_config(path):
     """Parse a key=value run configuration into a dict of validated values."""
     config = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

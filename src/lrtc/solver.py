@@ -85,9 +85,10 @@ class SolverConfig:
             raise ConfigError(f"rho_max {self.rho_max} must be >= rho0 {self.rho0}")
         if not 1.0 <= self.rho_mult < math.inf:
             raise ConfigError(f"rho_mult must be finite and >= 1, got {self.rho_mult}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+        # not isinstance: bool is an int subclass, but True is no iteration count
+        if not (type(self.max_iter) is int and self.max_iter >= 1):
             raise ConfigError(f"max_iter must be a positive integer, got {self.max_iter}")
 
 

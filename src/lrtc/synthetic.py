@@ -20,6 +20,8 @@ def synth_lowrank(dims, rank, value_offset=10.0, seed=0, ones_factors=False):
     if not 1 <= rank <= min(dims):
         raise ConfigError(f"rank must lie in [1, {min(dims)}] for dims {dims}, got {rank}")
     check_seed(seed)
+    if not np.isfinite(value_offset):
+        raise ConfigError(f"offset must be finite, got {value_offset}")
     if ones_factors:
         a = np.ones((dims[0], rank))
         b = np.ones((dims[1], rank))

@@ -39,6 +39,21 @@ class TestSynthCommand:
         rc = main(["synth", "--dims", "2", "2", "2", "--rank", "9", "--output", str(tmp_path / "x")])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--dims", "6", "5", "8", "--rank", "2", "--offset", "inf", "--output", "e.txt"],
+            ["benchmark", "--synth", "6", "5", "8", "2", "--offset", "nan", "--pattern", "rm",
+             "--rate", "0.3", "--seed", "1", "--theta", "0.1", "--report", "r.csv"],
+        ],
+        ids=["synth", "benchmark"],
+    )
+    def test_non_finite_offset_is_config_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        assert "offset must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestImputeCommand:
     def test_fully_observed_roundtrip(self, synth_file, tmp_path):
@@ -79,6 +94,13 @@ class TestImputeCommand:
         bad.write_text("2 2\n1 2 3 4\n", encoding="utf-8")
         rc = main(["impute", "--input", str(bad), "--theta", "0.1", "--output", str(tmp_path / "o.txt")])
         assert rc == 2
+
+    def test_infinite_epsilon_is_config_error(self, synth_file, tmp_path):
+        # an infinite tolerance would pass the convergence test after one iteration
+        out = tmp_path / "o.txt"
+        argv = ["impute", "--input", str(synth_file), "--theta", "0.1", "--output", str(out)]
+        assert main(argv + ["--epsilon", "inf"]) == 3
+        assert not out.exists()
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         rc = main(

@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,10 @@ from lrtc import (
 from lrtc import data_io
 from lrtc.cli import main
 from lrtc.data_io import load_dense, load_matrix_csv, save_dense, save_matrix_csv
+
+# Python 3.12+ warns when a process with live threads forks; the parallel
+# writer must fork only while the process has one thread.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 
 class TestDenseFormat:
@@ -81,6 +86,20 @@ class TestDenseFormat:
         assert main(argv) == 2
         assert "expected 1000000000000000 values, found 3" in capsys.readouterr().err
         assert not output.exists()
+
+    def test_fifo_header_larger_than_the_stream_is_parse_error(self, tmp_path, capsys):
+        # a FIFO has no size to bound its header by, so the loader's arrays
+        # grow with the values that arrive, not with the 10**15 it promises
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=(b"100000 100000 100000\n1 2 3\n",), daemon=True
+        )
+        writer.start()
+        argv = ["impute", "--input", str(fifo), "--theta", "0.1", "--output", str(tmp_path / "o.txt")]
+        assert main(argv) == 2
+        writer.join(timeout=10)
+        assert "fifo:2: expected 1000000000000000 values, found 3" in capsys.readouterr().err
 
     def test_too_many_values(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -201,6 +220,21 @@ class TestMatrixCsvFormat:
         loaded, loaded_mask = load_matrix_csv(path, 3, 5)
         assert np.array_equal(loaded, tensor)
         assert np.array_equal(loaded_mask, mask)
+
+    def test_load_peak_stays_near_the_arrays_it_returns(self, tmp_path):
+        # rows are parsed as they are read, so the file's text is never held
+        # whole, and the arrays' spare capacity is under half their final size
+        tensor = np.random.default_rng(4).standard_normal((200, 10, 50))
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, tensor)
+        tracemalloc.start()
+        try:
+            loaded, mask = load_matrix_csv(path, 10, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, tensor) and mask.all()
+        assert peak < 2 * (loaded.nbytes + mask.nbytes)
 
     def test_benchmark_scale_shape(self, tmp_path):
         # locations x (days * intervals) matrix reshapes to the tensor layout
@@ -763,3 +797,19 @@ class TestRunConfigFile:
             path.write_text(line + "\n", encoding="utf-8")
             with pytest.raises(ParseError, match=":1"):
                 load_run_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, load",
+    [
+        (b"1 1 2\n1.0 \xff\n", load_dense),
+        (b"1.0,\xff\n", lambda path: load_matrix_csv(path, 1, 2)),
+        (b"theta = 0.1\n# \xff\n", load_run_config),
+    ],
+    ids=["dense", "csv", "run-config"],
+)
+def test_non_utf8_file_is_parse_error_naming_it(tmp_path, text, load):
+    path = tmp_path / "in.txt"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match=r"in\.txt: not UTF-8 text"):
+        load(path)

@@ -56,6 +56,8 @@ class TestSolverConfig:
             {"theta": 0.1, "rho_max": float("nan")},
             {"theta": 0.1, "rho0": float("inf"), "rho_max": float("inf")},
             {"theta": 0.1, "alphas": (float("nan"), 0.5, 0.5)},
+            {"theta": 0.1, "epsilon": float("inf")},
+            {"theta": 0.1, "max_iter": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -43,6 +43,11 @@ class TestSynthLowrank:
         with pytest.raises(ConfigError, match="got -1"):
             synth_lowrank((4, 5, 6), 2, seed=-1)
 
+    @pytest.mark.parametrize("offset", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_offset(self, offset):
+        with pytest.raises(ConfigError, match="offset must be finite"):
+            synth_lowrank((4, 5, 6), 2, value_offset=offset)
+
     def test_bad_dims(self):
         with pytest.raises(ConfigError):
             synth_lowrank((4, 5), 2)
