@@ -2,10 +2,12 @@
 
 Exit codes: 0 success (including non-convergence, which only warns on
 stderr), 2 usage or file-parse errors, 3 configuration errors, 4 runtime
-errors. A run-configuration file (``--config``) supplies defaults for the
-flags the command line leaves unset, for the keys that
-``data_io.load_run_config`` accepts. ``LRTC_JOBS`` sets the default worker
-count for benchmarks.
+errors. A run-configuration file (``--config``) fills in the flags the
+command line leaves unset: a line ``key = value`` acts exactly like the flag
+whose dest is ``key`` given ``value``, except that a value it cannot read is a
+parse error naming the line. A key outside ``CONFIG_KEYS`` is a parse error, one
+the subcommand has no flag for is ignored. ``LRTC_JOBS`` sets the default
+worker count for benchmarks.
 """
 
 import argparse
@@ -17,7 +19,6 @@ import numpy as np
 from .data_io import FORMATS, load_run_config, load_tensor, save_tensor
 from .errors import CompletionError, ConfigError, ParseError
 from .experiments import (
-    DEFAULT_THETA_GRID,
     cross_validate_theta,
     format_report_table,
     run_benchmark,
@@ -33,6 +34,12 @@ JOBS_ENV_VAR = "LRTC_JOBS"
 # SolverConfig fields of the penalty schedule and the stopping rule; each is
 # one flag (``--rho-max`` for ``rho_max``) typed like the field's default.
 SCHEDULE_FIELDS = ("rho0", "rho_max", "rho_mult", "epsilon", "max_iter")
+
+# The keys a --config file may set, each the dest of a flag below.
+CONFIG_KEYS = (
+    "input", "format", "dims", "output", "trace_output", "report", "pattern", "rate", "seed",
+    "theta", "grid", "holdout_fraction", *SCHEDULE_FIELDS,
+)
 
 
 def _add_input_flags(parser, required=True):
@@ -54,6 +61,12 @@ def _add_schedule_flags(parser):
         parser.add_argument(flag, type=type(getattr(SolverConfig, name)), default=None)
 
 
+def _add_config_flag(parser, help=None):
+    """``--config``, added after every flag a config line may fill in."""
+    parser.add_argument("--config", default=None, help=help)
+    parser.set_defaults(config_flags={action.dest: action for action in parser._actions})
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lrtc",
@@ -68,7 +81,7 @@ def build_parser():
     p_impute.add_argument("--solver", choices=SOLVER_NAMES, default=None)
     p_impute.add_argument("--output", required=True)
     p_impute.add_argument("--trace-output", default=None)
-    p_impute.add_argument("--config", default=None, help="run-configuration file")
+    _add_config_flag(p_impute, help="run-configuration file")
     p_impute.set_defaults(func=cmd_impute)
 
     p_bench = sub.add_parser("benchmark", help="scenario grid over solvers")
@@ -91,7 +104,7 @@ def build_parser():
     p_bench.add_argument("--report", required=True)
     p_bench.add_argument("--jobs", type=int, default=None)
     _add_schedule_flags(p_bench)
-    p_bench.add_argument("--config", default=None)
+    _add_config_flag(p_bench)
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_cv = sub.add_parser("cv", help="cross-validate theta on one scenario")
@@ -102,7 +115,7 @@ def build_parser():
     p_cv.add_argument("--grid", nargs="+", type=float, default=None)
     p_cv.add_argument("--holdout-fraction", type=float, default=None)
     _add_schedule_flags(p_cv)
-    p_cv.add_argument("--config", default=None)
+    _add_config_flag(p_cv)
     p_cv.set_defaults(func=cmd_cv)
 
     p_synth = sub.add_parser("synth", help="write a synthetic low-rank tensor file")
@@ -118,16 +131,37 @@ def build_parser():
     return parser
 
 
+def _flag_value(action, text):
+    """``text`` read as the argument of ``action``'s flag, split on whitespace
+    for a flag that takes several; argparse's own ``ArgumentError`` if bad."""
+    flag = action.option_strings[0]
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument(flag, type=action.type, nargs=action.nargs, choices=action.choices)
+    tokens = [text] if action.nargs is None else text.split()
+    parsed, extra = probe.parse_known_args([flag, *tokens])
+    if extra:
+        raise argparse.ArgumentError(None, "unrecognized arguments: " + " ".join(extra))
+    return getattr(parsed, action.dest)
+
+
 def _apply_config_file(args):
     """Fill every flag the command line left unset from the --config file.
 
-    Run-config keys are the flags' argparse dests; keys this subcommand has
-    no flag for are ignored.
+    A line is read by its flag even when the command line gives that flag;
+    ranges are checked later, where the flag's are.
     """
     if getattr(args, "config", None) is None:
         return
-    for key, value in load_run_config(args.config).items():
-        if hasattr(args, key) and getattr(args, key) is None:
+    for key, (line_no, text) in load_run_config(args.config).items():
+        if key not in CONFIG_KEYS:
+            raise ParseError(f"{args.config}:{line_no}: unknown key {key!r}")
+        if key not in args.config_flags:
+            continue
+        try:
+            value = _flag_value(args.config_flags[key], text)
+        except argparse.ArgumentError as exc:
+            raise ParseError(f"{args.config}:{line_no}: {exc}") from None
+        if getattr(args, key) is None:
             setattr(args, key, value)
 
 
@@ -144,9 +178,7 @@ def _require_scenario_flags(args):
 
 
 def _load_input(args):
-    fmt = args.format or "dense"
-    csv_dims = tuple(args.dims) if args.dims is not None else None
-    return load_tensor(args.input, fmt=fmt, csv_dims=csv_dims)
+    return load_tensor(args.input, fmt=args.format or "dense", csv_dims=args.dims)
 
 
 def _write_trace(path, result):
@@ -158,7 +190,6 @@ def _write_trace(path, result):
 
 
 def cmd_impute(args):
-    _apply_config_file(args)
     solver = args.solver or "tnn"
     if solver == "tnn" and args.theta is None:
         raise ConfigError("--theta is required for the tnn solver")
@@ -191,29 +222,24 @@ def _benchmark_source(args):
 
 
 def cmd_benchmark(args):
-    _apply_config_file(args)
     _require_scenario_flags(args)
-    patterns = args.pattern if isinstance(args.pattern, list) else [args.pattern]
-    rates = args.rate if isinstance(args.rate, list) else [args.rate]
-    seeds = args.seed if isinstance(args.seed, list) else [args.seed]
     solvers = args.solver or ["tnn"]
-    thetas = args.theta if isinstance(args.theta, list) else ([args.theta] if args.theta is not None else None)
 
     solver_runs = []
     for solver in solvers:
-        if solver == "tnn" and thetas is None:
+        if solver == "tnn" and args.theta is None:
             raise ConfigError("--theta is required when benchmarking the tnn solver")
         # Only tnn reads --theta; any other solver runs once, and
         # run_experiment maps its placeholder theta through solver_config.
-        for theta in thetas if solver == "tnn" else [0.0]:
+        for theta in args.theta if solver == "tnn" else [0.0]:
             solver_runs.append((solver, _schedule_config(args, theta)))
 
     data, native_mask = _benchmark_source(args)
     scenarios = [
         MissingScenario(pattern=p, rate=r, seed=s)
-        for p in patterns
-        for r in rates
-        for s in seeds
+        for p in args.pattern
+        for r in args.rate
+        for s in args.seed
     ]
     if args.jobs is not None:
         jobs = args.jobs
@@ -243,21 +269,18 @@ def cmd_benchmark(args):
 
 
 def cmd_cv(args):
-    _apply_config_file(args)
     _require_scenario_flags(args)
-    grid = tuple(args.grid) if args.grid is not None else DEFAULT_THETA_GRID
-    fraction = args.holdout_fraction if args.holdout_fraction is not None else 0.2
     base = _schedule_config(args, 0.0)
     data, native_mask = _load_input(args)
     scenario = MissingScenario(pattern=args.pattern, rate=args.rate, seed=args.seed)
+    given = {"theta_grid": args.grid, "validation_fraction": args.holdout_fraction}
     best, scores = cross_validate_theta(
         data,
         native_mask,
         scenario,
-        theta_grid=grid,
-        validation_fraction=fraction,
         seed=args.seed,
         base_config=base,
+        **{k: v for k, v in given.items() if v is not None},
     )
     print(f"{'theta':>7s}{'mape':>10s}{'rmse':>10s}{'iters':>7s}")
     for score in scores:
@@ -285,6 +308,7 @@ def main(argv=None):
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        _apply_config_file(args)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

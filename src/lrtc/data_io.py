@@ -35,9 +35,9 @@ place, as they fill: up to the header's count for dense, trimmed to the rows
 read for CSV. So a header or (days, intervals) pair that promises more values
 than the file holds allocates no more than the file fills, and is a parse error.
 
-Run-configuration files are ``key = value`` lines (``#`` comments allowed)
-whose keys mirror the CLI flags; every value is range-checked while parsing so
-errors carry the offending line number.
+Run-configuration files are ``key = value`` lines (``#`` comments allowed);
+``load_run_config`` returns each value's text and line, which the CLI reads
+exactly as it reads the flag the key names.
 """
 
 import contextlib
@@ -51,7 +51,6 @@ from concurrent.futures import BrokenExecutor
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError
-from .masks import PATTERNS
 from .tensor_ops import _check_pair, _check_tensor3
 
 FORMATS = ("dense", "csv")
@@ -319,7 +318,7 @@ def load_matrix_csv(path, days, intervals):
     width = days * intervals
     values, observed = np.empty(0), np.empty(0, dtype=bool)
     pos = 0
-    header = False
+    header = 0  # line number of the header row, if any
     with _utf8_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -327,7 +326,7 @@ def load_matrix_csv(path, days, intervals):
             cells = line.split(",")
             # only the first non-blank line may be a header
             if not (pos or header) and _looks_like_header(cells):
-                header = True
+                header = line_no
                 continue
             if len(cells) != width:
                 raise ParseError(
@@ -337,7 +336,9 @@ def load_matrix_csv(path, days, intervals):
             tokens = [cell.strip() or "nan" for cell in cells]
             pos = _store(values, observed, pos, tokens, path, line_no, math.inf)
     if not pos:
-        raise ParseError(f"{path}:2: no data rows after header" if header else f"{path}:1: empty file")
+        raise ParseError(
+            f"{path}:{header}: no data rows after header" if header else f"{path}:1: empty file"
+        )
     values.resize(pos, refcheck=False)
     observed.resize(pos, refcheck=False)
     shape = (pos // width, days, intervals)
@@ -378,73 +379,14 @@ def save_tensor(path, tensor, mask=None, fmt="dense"):
         save_matrix_csv(path, tensor, mask)
 
 
-def _cfg_float(token, low=None, high=None, low_open=False, high_open=False):
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError
-    if low is not None and (value <= low if low_open else value < low):
-        raise ValueError
-    if high is not None and (value >= high if high_open else value > high):
-        raise ValueError
-    return value
-
-
-def _cfg_int(token, low=None):
-    value = int(token)
-    if low is not None and value < low:
-        raise ValueError
-    return value
-
-
-# key -> (parser, human description of the legal values)
-_RUN_CONFIG_SCHEMA = {
-    "theta": (lambda t: _cfg_float(t, 0.0, 1.0, high_open=True), "a float in [0, 1)"),
-    "rho0": (lambda t: _cfg_float(t, 0.0, low_open=True), "a positive float"),
-    "rho_max": (lambda t: _cfg_float(t, 0.0, low_open=True), "a positive float"),
-    "rho_mult": (lambda t: _cfg_float(t, 1.0), "a float >= 1"),
-    "epsilon": (lambda t: _cfg_float(t, 0.0, low_open=True), "a positive float"),
-    "max_iter": (lambda t: _cfg_int(t, 1), "a positive integer"),
-    "pattern": (lambda t: _cfg_choice(t, PATTERNS), " or ".join(PATTERNS)),
-    "rate": (
-        lambda t: _cfg_float(t, 0.0, 1.0, low_open=True, high_open=True),
-        "a float strictly between 0 and 1",
-    ),
-    "seed": (lambda t: _cfg_int(t, 0), "a nonnegative integer"),
-    "input": (str, "a path"),
-    "format": (lambda t: _cfg_choice(t, FORMATS), " or ".join(FORMATS)),
-    "dims": (
-        lambda t: tuple(_cfg_int(x, 1) for x in _cfg_pair(t)),
-        "two positive integers (days intervals)",
-    ),
-    "output": (str, "a path"),
-    "trace_output": (str, "a path"),
-    "report": (str, "a path"),
-    "grid": (
-        lambda t: tuple(_cfg_float(x, 0.0, 1.0, high_open=True) for x in t.split()),
-        "space-separated floats in [0, 1)",
-    ),
-    "holdout_fraction": (
-        lambda t: _cfg_float(t, 0.0, 1.0, low_open=True, high_open=True),
-        "a float strictly between 0 and 1",
-    ),
-}
-
-
-def _cfg_choice(token, choices):
-    if token not in choices:
-        raise ValueError
-    return token
-
-
-def _cfg_pair(token):
-    parts = token.split()
-    if len(parts) != 2:
-        raise ValueError
-    return parts
-
-
 def load_run_config(path):
-    """Parse a key=value run configuration into a dict of validated values."""
+    """Read a run-configuration file into ``{key: (line_no, text)}``.
+
+    Each line, cut at its first ``#``, is blank or ``key = value``; ``text`` is
+    the stripped value, and a repeated key keeps its last line. Keys and values
+    are not checked: ``lrtc.cli`` reads each value with the flag the key names.
+    (This used to return ``{key: value}`` with every value typed and checked.)
+    """
     config = {}
     with _utf8_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -454,14 +396,5 @@ def load_run_config(path):
             if "=" not in line:
                 raise ParseError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _RUN_CONFIG_SCHEMA:
-                raise ParseError(f"{path}:{line_no}: unknown key {key!r}")
-            parser, description = _RUN_CONFIG_SCHEMA[key]
-            try:
-                config[key] = parser(value)
-            except (ValueError, TypeError):
-                raise ParseError(
-                    f"{path}:{line_no}: {key} must be {description}, got {value!r}"
-                ) from None
+            config[key.strip()] = (line_no, value.strip())
     return config

@@ -45,6 +45,7 @@ class MissingScenario:
 def generate_rm_mask(dims, rate, seed):
     """Each entry goes missing independently with probability ``rate``."""
     _check_rate(rate)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return rng.random(tuple(dims)) >= rate
 
@@ -52,6 +53,7 @@ def generate_rm_mask(dims, rate, seed):
 def generate_nm_mask(dims, rate, seed):
     """Each (location, day) pair loses its whole mode-3 fiber with probability ``rate``."""
     _check_rate(rate)
+    check_seed(seed)
     dims = tuple(dims)
     rng = np.random.default_rng(seed)
     dropped = rng.random(dims[:2]) < rate

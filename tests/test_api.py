@@ -3,7 +3,6 @@ import pathlib
 
 import lrtc
 from lrtc import cli
-from lrtc.data_io import _RUN_CONFIG_SCHEMA
 
 PUBLIC_API = [
     "CompletionError",
@@ -80,7 +79,15 @@ def test_cli_surface_is_pinned():
     assert _options(parser) == ["-h", "--help"]
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert {name: _options(sub) for name, sub in commands.choices.items()} == CLI_OPTIONS
-    assert sorted(_RUN_CONFIG_SCHEMA) == RUN_CONFIG_KEYS
+    assert sorted(cli.CONFIG_KEYS) == RUN_CONFIG_KEYS
+    # every config key is the dest of a flag of some subcommand that takes --config
+    dests = {
+        action.dest
+        for sub in commands.choices.values()
+        if "--config" in _options(sub)
+        for action in sub._actions
+    }
+    assert set(cli.CONFIG_KEYS) <= dests
 
 
 def test_environment_surface_is_pinned():

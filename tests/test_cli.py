@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lrtc import load_tensor
+from lrtc import generate_rm_mask, load_tensor, save_tensor, synth_lowrank
 from lrtc.cli import main
 
 
@@ -297,3 +297,169 @@ class TestCvCommand:
         out = capsys.readouterr().out
         selected = [line for line in out.splitlines() if line.startswith("selected_theta ")]
         assert selected and float(selected[0].split()[1]) == 0.15
+
+
+@pytest.fixture
+def parity_paths(tmp_path):
+    """Input files for the flag/config parity runs, one with a space in its name."""
+    truth = synth_lowrank((6, 5, 8), 2, seed=3)
+    mask = generate_rm_mask(truth.shape, 0.3, seed=4)
+    paths = {"data": tmp_path / "data.txt", "spaced": tmp_path / "my data.txt", "csv": tmp_path / "m.csv"}
+    save_tensor(paths["data"], truth, mask)
+    save_tensor(paths["spaced"], truth, mask)
+    save_tensor(paths["csv"], truth, mask, fmt="csv")
+    return {name: str(path) for name, path in paths.items()}
+
+
+# Each base run sets every flag it needs; a parity case drops the flag of its
+# key and supplies it either as that flag or as a config line.
+_PARITY_BASES = {
+    "impute": ["impute", "--input", "{data}", "--output", "out.txt", "--theta", "0.2",
+               "--max-iter", "20"],
+    "impute-csv": ["impute", "--input", "{csv}", "--format", "csv", "--dims", "5", "8",
+                   "--output", "out.csv", "--theta", "0.2", "--max-iter", "20"],
+    "benchmark": ["benchmark", "--synth", "6", "5", "8", "2", "--pattern", "rm", "--rate", "0.3",
+                  "--seed", "1", "--theta", "0.1", "--max-iter", "10", "--report", "r.csv"],
+    "benchmark-input": ["benchmark", "--pattern", "rm", "--rate", "0.3", "--seed", "1",
+                        "--theta", "0.1", "--max-iter", "10", "--report", "r.csv"],
+    "cv": ["cv", "--input", "{data}", "--pattern", "rm", "--rate", "0.3", "--seed", "1",
+           "--grid", "0.1", "0.2", "--max-iter", "20"],
+}
+
+# (base, key, value, extra flags): a valid, an out-of-range and an unparsable
+# value for every key a config line can supply
+_PARITY_CASES = [
+    ("impute", "theta", "0.3", []),
+    ("impute", "theta", "1.5", []),
+    ("impute", "theta", "abc", []),
+    ("impute", "theta", "1.5", ["--solver", "halrtc"]),  # halrtc ignores theta
+    ("benchmark", "theta", "0.1 0.2", []),
+    ("benchmark", "theta", "0.1 1.5", []),
+    ("impute", "rho0", "1e-4", []),
+    ("impute", "rho0", "0", []),
+    ("impute", "rho0", "x", []),
+    ("impute", "rho_max", "1e4", []),
+    ("impute", "rho_max", "inf", []),  # no cap
+    ("impute", "rho_max", "1e-9", []),  # below rho0
+    ("impute", "rho_max", "big", []),
+    ("impute", "rho_mult", "1.1", []),
+    ("impute", "rho_mult", "0.5", []),
+    ("impute", "rho_mult", "nan", []),
+    ("impute", "rho_mult", "fast", []),
+    ("impute", "epsilon", "1e-3", []),
+    ("impute", "epsilon", "inf", []),
+    ("impute", "epsilon", "tiny", []),
+    ("impute", "max_iter", "7", []),
+    ("impute", "max_iter", "0", []),
+    ("impute", "max_iter", "1.5", []),
+    ("impute", "format", "dense", []),
+    ("impute", "format", "xml", []),
+    ("impute-csv", "dims", "5 8", []),
+    ("impute-csv", "dims", "0 40", []),
+    ("impute-csv", "dims", "5", []),
+    ("impute-csv", "dims", "5 x", []),
+    ("impute-csv", "dims", "5 8 1", []),
+    ("impute", "trace_output", "trace.csv", []),
+    ("impute", "trace_output", "my trace.csv", []),
+    ("impute", "trace_output", "no-such-dir/trace.csv", []),
+    ("benchmark-input", "input", "{spaced}", []),
+    ("benchmark-input", "input", "{spaced}.missing", []),
+    ("benchmark", "pattern", "rm nm", []),
+    ("benchmark", "rate", "0.2 0.4", []),
+    ("benchmark", "seed", "1 2", []),
+    ("benchmark", "seed", "1 -1", []),
+    ("cv", "pattern", "nm", []),
+    ("cv", "pattern", "block", []),
+    ("cv", "rate", "0.4", []),
+    ("cv", "rate", "1.0", []),
+    ("cv", "rate", "nan", []),
+    ("cv", "rate", "lots", []),
+    ("cv", "seed", "2", []),
+    ("cv", "seed", "-1", []),
+    ("cv", "seed", "1.5", []),
+    ("cv", "grid", "0.1 0.3", []),
+    ("cv", "grid", "0.1 1.5", []),
+    ("cv", "grid", "0.1 x", []),
+    ("cv", "grid", "", []),
+    ("cv", "holdout_fraction", "0.3", []),
+    ("cv", "holdout_fraction", "1.0", []),
+    ("cv", "holdout_fraction", "half", []),
+]
+
+_PATH_KEYS = ("input", "output", "trace_output", "report")
+
+
+def _drop_flag(argv, flag):
+    """``argv`` without ``flag`` and the values that follow it."""
+    out, skipping = [], False
+    for token in argv:
+        if token.startswith("--"):
+            skipping = token == flag
+        if not skipping:
+            out.append(token)
+    return out
+
+
+def _run_in(directory, monkeypatch, capsys, argv):
+    """Exit code, stdout, stderr and the files written by ``main(argv)`` in ``directory``.
+
+    A CSV report's last column, the run's wall time, is dropped.
+    """
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    files = {}
+    for path in sorted(directory.rglob("*")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if path.name == "r.csv":
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        files[path.name] = lines
+    return rc, out, err, files
+
+
+@pytest.mark.parametrize(
+    "base, key, value, extra",
+    _PARITY_CASES,
+    ids=[f"{base}-{key}={value}{''.join(extra)}" for base, key, value, extra in _PARITY_CASES],
+)
+def test_config_line_acts_like_its_flag(parity_paths, tmp_path, monkeypatch, capsys, base, key,
+                                        value, extra):
+    flag = "--" + key.replace("_", "-")
+    value = value.format(**parity_paths)
+    argv = _drop_flag([token.format(**parity_paths) for token in _PARITY_BASES[base]], flag) + extra
+    tokens = [value] if key in _PATH_KEYS else value.split()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# parity\n{key} = {value}\n", encoding="utf-8")
+
+    rc, out, err, files = _run_in(tmp_path / "flag", monkeypatch, capsys, argv + [flag, *tokens])
+    cfg_rc, cfg_out, cfg_err, cfg_files = _run_in(
+        tmp_path / "config", monkeypatch, capsys, argv + ["--config", str(cfg)]
+    )
+    assert (cfg_rc, cfg_out, cfg_files) == (rc, out, files)
+    if err.startswith("usage:"):
+        # argparse prints its usage and then "<prog>: error: <message>"; the
+        # config line gives the same message after its path:line
+        message = err.splitlines()[-1].split(": error: ", 1)[1]
+        assert cfg_err == f"error: {cfg}:2: {message}\n"
+    else:
+        assert cfg_err == err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (_PARITY_BASES["impute"], "output"),
+        (_PARITY_BASES["benchmark"], "report"),
+    ],
+)
+def test_config_line_for_a_required_flag_changes_nothing(parity_paths, tmp_path, monkeypatch,
+                                                         capsys, argv, key):
+    # --output and --report are required, so the command line always gives
+    # them, and a command-line flag wins over its config line
+    argv = [token.format(**parity_paths) for token in argv]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = elsewhere.txt\n", encoding="utf-8")
+    alone = _run_in(tmp_path / "flag", monkeypatch, capsys, argv)
+    assert alone[0] == 0
+    assert _run_in(tmp_path / "config", monkeypatch, capsys, argv + ["--config", str(cfg)]) == alone

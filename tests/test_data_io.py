@@ -177,6 +177,12 @@ class TestMatrixCsvFormat:
         tensor, _ = load_matrix_csv(path, 2, 2)
         assert tensor.shape == (1, 2, 2)
 
+    def test_header_without_rows_names_the_header_line(self, tmp_path):
+        path = tmp_path / "hdr.csv"
+        path.write_text("\n\nc0,c1\n\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"hdr\.csv:3: no data rows after header"):
+            load_matrix_csv(path, 1, 2)
+
     def test_typo_in_first_row_is_parse_error(self, tmp_path):
         # a numeric cell makes the first row data, so the bad cell is named
         path = tmp_path / "m.csv"
@@ -423,9 +429,9 @@ def _oracle_load_matrix_csv(path, days, intervals):
     if not rows:
         raise ParseError(f"{path}:1: empty file")
     if _oracle_looks_like_header(rows[0][1]):
-        rows = rows[1:]
+        header_no, rows = rows[0][0], rows[1:]
         if not rows:
-            raise ParseError(f"{path}:2: no data rows after header")
+            raise ParseError(f"{path}:{header_no}: no data rows after header")
     width = days * intervals
     matrix = np.zeros((len(rows), width))
     observed = np.ones((len(rows), width), dtype=bool)
@@ -740,10 +746,26 @@ class TestFailedSave:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
+def _main_with_config(monkeypatch, tmp_path, argv, text):
+    """``main(argv + ["--config", <file holding text>])`` run in ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return main(argv + ["--config", str(path)])
+
+
+# a benchmark on a small synthetic tensor; every flag a config line may set is left out
+_BENCH_ARGV = ["benchmark", "--synth", "6", "5", "8", "2", "--report", "r.csv"]
+_BENCH_FLAGS = {"pattern": "rm", "rate": "0.3", "seed": "1", "theta": "0.1", "max_iter": "5"}
+
+
 class TestRunConfigFile:
-    def test_happy_path(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
+    def test_happy_path(self, tmp_path, monkeypatch):
+        # each value reaches the run typed by the flag its key names
+        seen = {}
+        for name in ("cmd_impute", "cmd_benchmark", "cmd_cv"):
+            monkeypatch.setattr(f"lrtc.cli.{name}", lambda args: seen.update(vars(args)) or 0)
+        text = (
             "# solver\n"
             "theta = 0.25\n"
             "rho0 = 1e-5\n"
@@ -753,27 +775,43 @@ class TestRunConfigFile:
             "rate = 0.4\n"
             "seed = 7\n"
             "dims = 61 144\n"
-            "grid = 0.05 0.10 0.30\n",
+            "grid = 0.05 0.10 0.30\n"
+        )
+        assert _main_with_config(monkeypatch, tmp_path, ["cv", "--input", "d.txt"], text) == 0
+        assert seen["max_iter"] == 150 and seen["rho0"] == 1e-5
+        assert seen["pattern"] == "nm" and seen["rate"] == 0.4 and seen["seed"] == 7
+        assert seen["dims"] == [61, 144]
+        assert seen["grid"] == [0.05, 0.10, 0.30]
+        assert "theta" not in seen  # cv has no --theta
+        argv = ["impute", "--input", "d.txt", "--output", "o.txt"]
+        assert _main_with_config(monkeypatch, tmp_path, argv, text) == 0
+        assert seen["theta"] == 0.25
+        assert _main_with_config(monkeypatch, tmp_path, _BENCH_ARGV, text) == 0
+        assert seen["theta"] == [0.25]
+        assert seen["pattern"] == ["nm"] and seen["rate"] == [0.4] and seen["seed"] == [7]
+
+    def test_unknown_key(self, tmp_path, monkeypatch, capsys):
+        argv = ["impute", "--input", "d.txt", "--output", "o.txt"]
+        assert _main_with_config(monkeypatch, tmp_path, argv, "theta = 0.1\nshrinkage = hard\n") == 2
+        assert ":2: unknown key 'shrinkage'" in capsys.readouterr().err
+
+    def test_bad_value_names_line(self, tmp_path, monkeypatch, capsys):
+        argv = ["impute", "--input", "d.txt", "--output", "o.txt"]
+        assert _main_with_config(monkeypatch, tmp_path, argv, "rho0 = 1e-5\ntheta = abc\n") == 2
+        err = capsys.readouterr().err
+        assert "run.cfg:2: argument --theta: invalid float value: 'abc'" in err
+
+    def test_values_come_back_as_text_with_their_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "# a comment\ntheta = 0.25  # trailing\ndims = 61 144\ninput = my data.txt\n\ntheta = x\n",
             encoding="utf-8",
         )
-        config = load_run_config(path)
-        assert config["theta"] == 0.25
-        assert config["max_iter"] == 150
-        assert config["pattern"] == "nm"
-        assert config["dims"] == (61, 144)
-        assert config["grid"] == (0.05, 0.10, 0.30)
-
-    def test_unknown_key(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("theta = 0.1\nshrinkage = hard\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=":2: unknown key"):
-            load_run_config(path)
-
-    def test_bad_value_names_line(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("rho0 = 1e-5\ntheta = 1.5\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=":2: theta"):
-            load_run_config(path)
+        assert load_run_config(path) == {
+            "theta": (6, "x"),
+            "dims": (3, "61 144"),
+            "input": (4, "my data.txt"),
+        }
 
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -781,22 +819,27 @@ class TestRunConfigFile:
         with pytest.raises(ParseError, match=":1"):
             load_run_config(path)
 
-    def test_constraints_checked_at_parse(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        for line in (
-            "rate = 1.0",
-            "max_iter = 0",
-            "pattern = block",
-            "rho_mult = 0.5",
-            "rho_mult = nan",
-            "rho_max = inf",
-            "theta = nan",
-            "rate = nan",
-            "seed = -1",
+    def test_constraints_checked_at_parse(self, tmp_path, monkeypatch):
+        # each value fails as its flag does: argparse's exit 2 for a choice,
+        # the range check's exit 3 for the rest
+        for line, code in (
+            ("rate = 1.0", 3),
+            ("max_iter = 0", 3),
+            ("pattern = block", 2),
+            ("rho_mult = 0.5", 3),
+            ("rho_mult = nan", 3),
+            ("theta = nan", 3),
+            ("rate = nan", 3),
+            ("seed = -1", 3),
         ):
-            path.write_text(line + "\n", encoding="utf-8")
-            with pytest.raises(ParseError, match=":1"):
-                load_run_config(path)
+            key, value = (part.strip() for part in line.split("="))
+            flag = "--" + key.replace("_", "-")
+            argv = _BENCH_ARGV + [
+                tok for k, v in _BENCH_FLAGS.items() if k != key for tok in ("--" + k.replace("_", "-"), v)
+            ]
+            assert _main_with_config(monkeypatch, tmp_path, argv, line + "\n") == code, line
+            assert main(argv + [flag, value]) == code, line
+        assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize(

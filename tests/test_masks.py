@@ -90,8 +90,13 @@ class TestMissingScenario:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
     def test_seed_must_be_nonnegative_integer(self, seed):
-        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
-            MissingScenario("rm", 0.4, seed)
+        for make in (
+            lambda: MissingScenario("rm", 0.4, seed),
+            lambda: generate_rm_mask((3, 4, 5), 0.4, seed),
+            lambda: generate_nm_mask((3, 4, 5), 0.4, seed),
+        ):
+            with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+                make()
 
 
 @given(
