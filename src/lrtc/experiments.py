@@ -61,11 +61,10 @@ def evaluation_mask(native_mask, scen_mask):
     return np.asarray(native_mask, bool) & ~np.asarray(scen_mask, bool)
 
 
-def _scored_run(data, visible, held_out, scenario, config, solver, solve_fn=None):
+def _scored_run(data, visible, held_out, scenario, config, solver):
     """Solve on ``visible`` under ``config`` and score the ``held_out`` entries."""
-    runner = solve if solve_fn is None else solve_fn
     start = time.perf_counter()
-    result = runner(data, visible, config)
+    result = solve(data, visible, config)
     wall_time = time.perf_counter() - start
     truth = data[held_out]
     estimate = result.recovered[held_out]
@@ -82,12 +81,8 @@ def _scored_run(data, visible, held_out, scenario, config, solver, solve_fn=None
     )
 
 
-def run_experiment(data, native_mask, scenario, config, solver="tnn", solve_fn=None):
-    """Mask, solve, and score one scenario; returns an EvaluationReport.
-
-    ``solve_fn`` defaults to the package solver and exists so tests can inject
-    an oracle.
-    """
+def run_experiment(data, native_mask, scenario, config, solver="tnn"):
+    """Mask, solve (this module's ``solve``), and score one scenario; returns an EvaluationReport."""
     data = np.asarray(data, dtype=float)
     native_mask = np.asarray(native_mask, bool)
     cfg = solver_config(solver, config)
@@ -97,7 +92,7 @@ def run_experiment(data, native_mask, scenario, config, solver="tnn", solve_fn=N
         raise DegenerateProblemError(
             "scenario masked no natively observed entries; nothing to evaluate"
         )
-    return _scored_run(data, native_mask & scen, held_out, scenario, cfg, solver, solve_fn)
+    return _scored_run(data, native_mask & scen, held_out, scenario, cfg, solver)
 
 
 # Mixed into the cross-validation seed so the holdout stream never coincides

@@ -7,8 +7,9 @@ that solves
     min_X  alpha * ||X||_{trunc,*} + (rho / 2) * ||X - Z||_F^2
 
 in closed form: keep the ``trunc`` largest singular values of Z untouched and
-soft-threshold the rest by ``tau = alpha / rho``. ``svt`` and ``weighted_svt``
-are its plain and weighted relatives. All kernels are pure functions; per-mode
+soft-threshold the rest by ``tau = alpha / rho``, i.e. weighted shrinkage with
+step weights. It, ``svt`` (nothing kept) and ``weighted_svt`` (any weights)
+share one shrink-and-rebuild body. All kernels are pure functions; per-mode
 shrinkages within a solver iteration may run concurrently.
 
 Every kernel factors its input with ``thin_svd``, which has two routes. A
@@ -30,7 +31,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .tensor_ops import _check_mode
+from .tensor_ops import _check_dims, _check_mode
 
 # Singular values below this are treated as exact zeros before shrinkage,
 # so numerical noise cannot masquerade as rank.
@@ -87,35 +88,20 @@ def _wide_svd(matrix):
     return np.linalg.svd(matrix, full_matrices=False)
 
 
-def _check_trunc(matrix_shape, trunc):
-    bound = min(matrix_shape)
-    if not 0 <= int(trunc) == trunc:
-        raise ConfigError(f"truncation must be a nonnegative integer, got {trunc!r}")
-    if trunc >= bound:
-        raise ConfigError(
-            f"truncation {trunc} too large for a {matrix_shape[0]}x{matrix_shape[1]} "
-            f"matrix (must stay below {bound})"
-        )
-    return int(trunc)
-
-
 def truncation_for_mode(dims, mode, theta):
     """Per-mode truncation level ``ceil(theta * min(n_mode, prod(other dims)))``.
 
-    The result must stay strictly below that min; an overflowing value is
-    clamped to the bound minus one (floor zero) with a warning, which keeps
-    tiny degenerate shapes legal. ``theta = 0`` always yields 0, the
-    nuclear-norm special case.
+    ``dims`` must be three positive integers. The result must stay strictly
+    below that min; an overflowing value is clamped to the bound minus one
+    with a warning, which keeps tiny degenerate shapes legal. ``theta = 0``
+    always yields 0, the nuclear-norm special case.
     """
     _check_mode(mode)
     if not 0.0 <= theta < 1.0:
         raise ConfigError(f"theta must lie in [0, 1), got {theta}")
-    dims = tuple(int(d) for d in dims)
+    dims = _check_dims(dims)
     bound = min(dims[mode], int(np.prod([d for ax, d in enumerate(dims) if ax != mode])))
-    if theta == 0.0:
-        return 0
     trunc = math.ceil(theta * bound - _CEIL_GUARD)
-    trunc = max(trunc, 0)
     if trunc >= bound:
         warnings.warn(
             f"clamping mode-{mode} truncation from {trunc} to {bound - 1} "
@@ -137,13 +123,17 @@ def truncated_svt(matrix, trunc, tau):
     spectrum is unique even though the factors may not be.
     """
     matrix = np.asarray(matrix, dtype=float)
-    trunc = _check_trunc(matrix.shape, trunc)
-    if tau < 0:
-        raise ConfigError(f"tau must be nonnegative, got {tau}")
-    u, sigma, vt = thin_svd(matrix)
-    shrunk = sigma.copy()
-    shrunk[trunc:] = np.maximum(sigma[trunc:] - tau, 0.0)
-    return _rebuild(u, shrunk, vt)
+    bound = min(matrix.shape)
+    if not 0 <= int(trunc) == trunc:
+        raise ConfigError(f"truncation must be a nonnegative integer, got {trunc!r}")
+    if trunc >= bound:
+        raise ConfigError(
+            f"truncation {trunc} too large for a {matrix.shape[0]}x{matrix.shape[1]} "
+            f"matrix (must stay below {bound})"
+        )
+    weights = np.ones(bound)
+    weights[: int(trunc)] = 0.0
+    return _shrink(matrix, weights, tau)
 
 
 def svt(matrix, tau):
@@ -154,10 +144,9 @@ def svt(matrix, tau):
 def weighted_svt(matrix, weights, tau):
     """Weighted shrinkage: singular value ``s_i`` becomes ``max(s_i - tau*w_i, 0)``.
 
-    ``weights`` must be nonnegative and nondecreasing (smallest weight on the
-    largest singular value); the closed-form optimality of this shrinkage only
-    holds under that order constraint. Zero weights on the first ``trunc``
-    entries and ones elsewhere reproduce :func:`truncated_svt`.
+    ``weights`` must be finite, nonnegative and nondecreasing (smallest weight
+    on the largest singular value), the order under which this shrinkage is
+    the closed-form minimizer. Step weights make it :func:`truncated_svt`.
     """
     matrix = np.asarray(matrix, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -167,18 +156,20 @@ def weighted_svt(matrix, weights, tau):
             f"need {bound} weights for a {matrix.shape[0]}x{matrix.shape[1]} matrix, "
             f"got shape {weights.shape}"
         )
-    if (weights < 0).any():
-        raise ConfigError("weights must be nonnegative")
+    if not (np.isfinite(weights) & (weights >= 0)).all():
+        raise ConfigError("weights must be finite and nonnegative")
     if (np.diff(weights) < 0).any():
         raise ConfigError("weights must be nondecreasing (order constraint)")
-    if tau < 0:
+    return _shrink(matrix, weights, tau)
+
+
+def _shrink(matrix, weights, tau):
+    """Every kernel's body: ``s_i -> max(s_i - tau * w_i, 0)`` on checked weights."""
+    if not tau >= 0:  # written so that NaN fails too
         raise ConfigError(f"tau must be nonnegative, got {tau}")
     u, sigma, vt = thin_svd(matrix)
-    shrunk = np.maximum(sigma - tau * weights, 0.0)
-    return _rebuild(u, shrunk, vt)
-
-
-def _rebuild(u, shrunk, vt):
-    """``(u * shrunk) @ vt`` from the nonzero values only; ``shrunk`` is non-increasing."""
-    k = np.count_nonzero(shrunk)
+    # a zero weight keeps its value even at tau = inf, where tau * 0 is NaN
+    penalty = tau * weights if tau < math.inf else np.where(weights > 0, tau, 0.0)
+    shrunk = np.maximum(sigma - penalty, 0.0)
+    k = np.count_nonzero(shrunk)  # shrunk is non-increasing: rebuild from its nonzeros
     return (u[:, :k] * shrunk[:k]) @ vt[:k]

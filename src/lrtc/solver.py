@@ -43,32 +43,19 @@ from .tensor_ops import MODES, _check_pair, fold, frobenius_norm, unfold
 
 SOLVER_NAMES = ("tnn", "halrtc")
 
-ALPHA_TOLERANCE = 1e-9
-
-
-def _check_alphas(alphas):
-    alphas = tuple(float(a) for a in alphas)
-    # Written so that a NaN weight fails every test.
-    if len(alphas) != 3 or not all(a >= 0 for a in alphas):
-        raise ConfigError(f"need three nonnegative mode weights, got {alphas}")
-    if not abs(sum(alphas) - 1.0) <= ALPHA_TOLERANCE:
-        raise ConfigError(f"mode weights must sum to 1, got sum={sum(alphas)!r}")
-    return alphas
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Hyperparameters of the ADMM iteration.
 
     ``theta`` is the universal truncation rate in [0, 1); ``theta = 0`` turns
-    the solver into plain nuclear-norm completion. The remaining defaults are
-    the standard settings: equal mode weights, penalty growing 5% per
-    iteration from 1e-5 up to 1e5, tolerance 1e-4, at most 200 iterations.
+    the solver into plain nuclear-norm completion. The other defaults are the
+    standard settings: penalty growing 5% per iteration from 1e-5 up to 1e5,
+    tolerance 1e-4, at most 200 iterations. Every mode weighs 1/3, always.
     Every check fails on NaN; ``rho_max`` alone may be infinite (no cap).
     """
 
     theta: float
-    alphas: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     rho0: float = 1e-5
     rho_max: float = 1e5
     rho_mult: float = 1.05
@@ -78,7 +65,6 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 <= self.theta < 1.0:
             raise ConfigError(f"theta must lie in [0, 1), got {self.theta}")
-        object.__setattr__(self, "alphas", _check_alphas(self.alphas))
         if not 0.0 < self.rho0 < math.inf:
             raise ConfigError(f"rho0 must be positive and finite, got {self.rho0}")
         if not self.rho_max >= self.rho0:
@@ -110,14 +96,15 @@ class SolverResult:
     converged: bool = False
 
 
-def update_x(s, work, m, t, rho, truncs, config):
+def update_x(s, work, m, t, rho, truncs):
     """``s = sum_k x_k`` and ``t[k] += rho * x_k``; ``work`` is a flat ``m.size`` buffer."""
+    tau = (1.0 / len(MODES)) / rho  # every mode weighs 1/3; update_m divides by the same count
     s.fill(0.0)
     for mode in MODES:
         z = fold(work.reshape(m.shape[mode], -1), mode, m.shape)
         np.divide(t[mode], rho, out=z)
         np.subtract(m, z, out=z)
-        x_k = fold(truncated_svt(unfold(z, mode), truncs[mode], config.alphas[mode] / rho), mode, m.shape)
+        x_k = fold(truncated_svt(unfold(z, mode), truncs[mode], tau), mode, m.shape)
         s += x_k
         np.multiply(x_k, rho, out=z)
         del x_k  # free the SVT output before the next mode's SVT: one tensor less at peak
@@ -126,7 +113,7 @@ def update_x(s, work, m, t, rho, truncs, config):
 
 def update_m(s, y, mask):
     """Consensus average ``s / 3`` of the x tensors in place, observed entries pinned to y."""
-    s /= 3.0
+    s /= len(MODES)
     np.copyto(s, y, where=mask)
 
 
@@ -172,7 +159,7 @@ def solve(y, mask, config):
     rho_trace = []
     converged = False
     for it in range(1, config.max_iter + 1):
-        update_x(s, work, m, t, rho, truncs, config)
+        update_x(s, work, m, t, rho, truncs)
         update_m(s, y, mask)
         np.subtract(s, m, out=m)
         ratio = frobenius_norm(m) / obs_norm

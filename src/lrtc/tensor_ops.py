@@ -29,6 +29,13 @@ def _check_mode(mode):
         raise DimensionError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _check_dims(dims):
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != 3 or any(d < 1 for d in dims):
+        raise DimensionError(f"dims must be three positive integers, got {dims}")
+    return dims
+
+
 def unfold(tensor, mode):
     """Return the mode-`mode` unfolding of a third-order tensor.
 
@@ -76,9 +83,7 @@ def fold(matrix, mode, dims):
     """
     _check_mode(mode)
     matrix = np.asarray(matrix, dtype=float)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise DimensionError(f"dims must be three positive integers, got {dims}")
+    dims = _check_dims(dims)
     rest = [d for axis, d in enumerate(dims) if axis != mode]
     expected = (dims[mode], int(np.prod(rest)))
     if matrix.ndim != 2 or matrix.shape != expected:

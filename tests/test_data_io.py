@@ -25,8 +25,12 @@ from lrtc.cli import main
 from lrtc.data_io import load_dense, load_matrix_csv, save_dense, save_matrix_csv
 
 # Python 3.12+ warns when a process with live threads forks; the parallel
-# writer must fork only while the process has one thread.
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+# writer must fork only while the process has one thread. Only that warning
+# is an error here: hypothesis's failure report imports modules that raise
+# other DeprecationWarnings, which must not abort the session.
+pytestmark = pytest.mark.filterwarnings(
+    r"error:.*use of fork\(\) may lead to deadlocks:DeprecationWarning"
+)
 
 
 class TestDenseFormat:

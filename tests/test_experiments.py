@@ -55,7 +55,7 @@ class TestEvaluationHygiene:
         # scored and visible sets partition the native observations
         assert np.array_equal(held_out | (native & scen), native)
 
-    def test_solver_sees_composite_mask(self, instance):
+    def test_solver_sees_composite_mask(self, instance, monkeypatch):
         data, _ = instance
         rng = np.random.default_rng(2)
         native = rng.random(DIMS) < 0.9
@@ -66,17 +66,17 @@ class TestEvaluationHygiene:
             seen["mask"] = mask.copy()
             return SolverResult(recovered=data.copy(), iterations=0, converged=True)
 
-        run_experiment(data, native, scenario, SolverConfig(theta=0.1), solve_fn=recording_solver)
+        monkeypatch.setattr(experiments, "solve", recording_solver)
+        run_experiment(data, native, scenario, SolverConfig(theta=0.1))
         assert np.array_equal(seen["mask"], native & scenario_mask(DIMS, scenario))
 
 
 class TestRunExperiment:
-    def test_oracle_scores_zero(self, instance):
+    def test_oracle_scores_zero(self, instance, monkeypatch):
         data, native = instance
         scenario = MissingScenario("rm", 0.4, 3)
-        report = run_experiment(
-            data, native, scenario, SolverConfig(theta=0.1), solve_fn=oracle_solver(data)
-        )
+        monkeypatch.setattr(experiments, "solve", oracle_solver(data))
+        report = run_experiment(data, native, scenario, SolverConfig(theta=0.1))
         assert report.mape == 0.0
         assert report.rmse == 0.0
         assert report.n_eval == evaluation_mask(native, scenario_mask(DIMS, scenario)).sum()
@@ -97,17 +97,11 @@ class TestRunExperiment:
         assert report.rmse < 1e-2 * data_rms
         assert report.converged
 
-    def test_halrtc_forces_theta_zero(self, instance):
+    def test_halrtc_forces_theta_zero(self, instance, monkeypatch):
         data, native = instance
         scenario = MissingScenario("rm", 0.4, 5)
-        report = run_experiment(
-            data,
-            native,
-            scenario,
-            SolverConfig(theta=0.3),
-            solver="halrtc",
-            solve_fn=oracle_solver(data),
-        )
+        monkeypatch.setattr(experiments, "solve", oracle_solver(data))
+        report = run_experiment(data, native, scenario, SolverConfig(theta=0.3), solver="halrtc")
         assert report.solver == "halrtc"
         assert report.theta == 0.0
 

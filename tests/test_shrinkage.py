@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lrtc import (
     ConfigError,
+    DimensionError,
     InvalidInputError,
     svt,
     thin_svd,
@@ -21,6 +22,15 @@ def tnn_objective(x, z, trunc, tau):
 
 
 DIAG31 = np.diag([3.0, 1.0])
+
+
+def formula_svt(matrix, trunc, tau):
+    """Truncated SVT as its own formula: shrink ``sigma[trunc:]`` only, then rebuild."""
+    u, sigma, vt = thin_svd(matrix)
+    shrunk = sigma.copy()
+    shrunk[trunc:] = np.maximum(sigma[trunc:] - tau, 0.0)
+    k = np.count_nonzero(shrunk)
+    return (u[:, :k] * shrunk[:k]) @ vt[:k]
 
 
 def with_spectrum(rows, cols, sigma, seed):
@@ -154,6 +164,11 @@ class TestTruncationForMode:
         with pytest.warns(UserWarning):
             assert truncation_for_mode((1, 4, 5), 0, 0.5) == 0
 
+    @pytest.mark.parametrize("dims", [(0, 4, 5), (-2, 4, 5), (4, 5), (2, 3, 4, 5)])
+    def test_rejects_bad_dims(self, dims):
+        with pytest.raises(DimensionError, match="three positive integers"):
+            truncation_for_mode(dims, 0, 0.5)
+
     def test_theta_out_of_range(self):
         for theta in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
@@ -186,6 +201,30 @@ class TestTruncatedSvt:
             truncated_svt(np.ones((3, 4)), 3, 1.0)
         with pytest.raises(ConfigError):
             truncated_svt(np.ones((3, 4)), 0, -1.0)
+        with pytest.raises(ConfigError):
+            truncated_svt(np.ones((3, 4)), 1, np.nan)
+        with pytest.raises(ConfigError):
+            svt(np.ones((3, 4)), np.nan)
+
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 20),
+        kind=st.sampled_from(["random", "rank_deficient", "repeated", "zero"]),
+        seed=st.integers(0, 2**32 - 1),
+        trunc_frac=st.floats(0.0, 1.0, exclude_max=True),
+        tau=st.sampled_from([0.0, 0.7, np.inf]) | st.floats(0.0, 4.0),
+    )
+    @example(rows=3, cols=8, kind="random", seed=0, trunc_frac=0.4, tau=np.inf)
+    @example(rows=8, cols=3, kind="random", seed=1, trunc_frac=0.4, tau=np.inf)
+    @example(rows=5, cols=5, kind="rank_deficient", seed=2, trunc_frac=0.0, tau=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_formula_bit_for_bit(self, rows, cols, kind, seed, trunc_frac, tau):
+        # both orientations and both thin_svd routes; tau = inf shrinks all
+        # but the kept values to zero
+        p = min(rows, cols)
+        z = with_spectrum(rows, cols, spectrum(kind, p, np.random.default_rng(seed)), seed)
+        trunc = int(trunc_frac * p)
+        assert np.array_equal(truncated_svt(z, trunc, tau), formula_svt(z, trunc, tau))
 
     @pytest.mark.parametrize("shape", [(5, 8), (8, 5)])
     @pytest.mark.parametrize("trunc", [0, 1, 2])
@@ -236,14 +275,11 @@ class TestWeightedSvt:
         z = rng.standard_normal((4, 5))
         assert np.allclose(weighted_svt(z, np.zeros(4), 1.0), z, atol=1e-10)
 
-    def test_step_weights_reproduce_truncated_svt(self):
-        rng = np.random.default_rng(23)
-        z = rng.standard_normal((5, 7))
-        for trunc in (0, 1, 2):
-            weights = np.r_[np.zeros(trunc), np.ones(5 - trunc)]
-            assert np.allclose(
-                weighted_svt(z, weights, 0.8), truncated_svt(z, trunc, 0.8), atol=1e-10
-            )
+    def test_zero_weight_keeps_its_value_at_infinite_tau(self):
+        z = np.diag([3.0, 2.0, 1.0, 0.5])
+        top = np.diag([3.0, 0.0, 0.0, 0.0])
+        assert np.allclose(weighted_svt(z, np.array([0.0, 1.0, 1.0, 1.0]), np.inf), top, atol=1e-12)
+        assert np.allclose(truncated_svt(z, 1, np.inf), top, atol=1e-12)
 
     def test_diagonal_hand_case(self):
         out = weighted_svt(DIAG31, np.array([0.0, 1.0]), 1.0)
@@ -256,6 +292,9 @@ class TestWeightedSvt:
             weighted_svt(np.ones((3, 3)), np.array([-0.1, 0.5, 2.0]), 1.0)
         with pytest.raises(ConfigError):
             weighted_svt(np.ones((3, 3)), np.array([0.0, 1.0]), 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                weighted_svt(np.ones((3, 3)), np.array([0.0, 1.0, bad]), 1.0)
 
     def test_special_case_coherence(self):
         rng = np.random.default_rng(24)

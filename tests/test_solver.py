@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,7 +34,10 @@ def small_problem(seed=0, rate=0.4, dims=(12, 9, 15), rank=2):
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig(theta=0.1)
-        assert cfg.alphas == (1 / 3, 1 / 3, 1 / 3)
+        # the mode weights are fixed at 1/3, not a setting
+        assert [f.name for f in fields(cfg)] == [
+            "theta", "rho0", "rho_max", "rho_mult", "epsilon", "max_iter"
+        ]
         assert cfg.rho0 == 1e-5
         assert cfg.rho_max == 1e5
         assert cfg.rho_mult == 1.05
@@ -45,7 +49,7 @@ class TestSolverConfig:
         [
             {"theta": -0.1},
             {"theta": 1.0},
-            {"theta": 0.1, "alphas": (0.5, 0.5, 0.5)},
+            {"theta": float("nan")},
             {"theta": 0.1, "rho0": 0.0},
             {"theta": 0.1, "rho0": 1.0, "rho_max": 0.5},
             {"theta": 0.1, "rho_mult": 0.9},
@@ -55,7 +59,7 @@ class TestSolverConfig:
             {"theta": 0.1, "rho_mult": float("inf")},
             {"theta": 0.1, "rho_max": float("nan")},
             {"theta": 0.1, "rho0": float("inf"), "rho_max": float("inf")},
-            {"theta": 0.1, "alphas": (float("nan"), 0.5, 0.5)},
+            {"theta": 0.1, "rho0": float("nan")},
             {"theta": 0.1, "epsilon": float("inf")},
             {"theta": 0.1, "max_iter": True},
         ],
@@ -72,15 +76,15 @@ def truncs_for(shape, theta):
     return [truncation_for_mode(shape, mode, theta) for mode in (0, 1, 2)]
 
 
-def mode_step(m, t_k, rho, mode, trunc, alpha):
+def mode_step(m, t_k, rho, mode, trunc):
     """One mode's x_k from the previous m and its own dual, on fresh tensors."""
-    return fold(truncated_svt(unfold(m - t_k / rho, mode), trunc, alpha / rho), mode, m.shape)
+    return fold(truncated_svt(unfold(m - t_k / rho, mode), trunc, (1 / 3) / rho), mode, m.shape)
 
 
-def run_update_x(m, t, rho, truncs, cfg):
+def run_update_x(m, t, rho, truncs):
     """update_x on buffers it must overwrite: the x sum, with t updated in place."""
     s = np.full(m.shape, np.nan)
-    update_x(s, np.full(m.size, np.nan), m, t, rho, truncs, cfg)
+    update_x(s, np.full(m.size, np.nan), m, t, rho, truncs)
     return s
 
 
@@ -89,7 +93,7 @@ class TestStartState:
 
     def first_iteration(self, y, mask, cfg):
         t = np.zeros((3, *y.shape))
-        s = run_update_x(np.where(mask, y, 0.0), t, cfg.rho0, truncs_for(y.shape, cfg.theta), cfg)
+        s = run_update_x(np.where(mask, y, 0.0), t, cfg.rho0, truncs_for(y.shape, cfg.theta))
         update_m(s, y, mask)
         return s
 
@@ -115,10 +119,9 @@ class TestUpdateX:
 
     def test_zero_shrinkage_limit(self):
         y, _ = small_problem()
-        cfg = SolverConfig(theta=0.1)
         rho = 1e12  # tau -> 0
         t = np.zeros((3, *y.shape))
-        s = run_update_x(y, t, rho, truncs_for(y.shape, 0.1), cfg)
+        s = run_update_x(y, t, rho, truncs_for(y.shape, 0.1))
         assert np.allclose(s, 3 * y, rtol=1e-6, atol=3e-6)
         for mode in (0, 1, 2):
             assert np.allclose(t[mode] / rho, y, rtol=1e-6, atol=1e-6)
@@ -126,7 +129,7 @@ class TestUpdateX:
     def test_zero_state_stays_zero(self):
         m = np.zeros((4, 5, 6))
         t = np.zeros((3, *m.shape))
-        s = run_update_x(m, t, 1.0, truncs_for(m.shape, 0.1), SolverConfig(theta=0.1))
+        s = run_update_x(m, t, 1.0, truncs_for(m.shape, 0.1))
         assert np.array_equal(s, np.zeros_like(m))
         assert np.array_equal(t, np.zeros_like(t))
 
@@ -136,10 +139,10 @@ class TestUpdateX:
         m = np.zeros((2, 2, 2))
         m[0, 0, 0] = 3.0
         m[1, 1, 1] = 1.0
-        cfg = SolverConfig(theta=0.5)  # ceil(0.5 * 2) = 1 kept per mode
-        rho = cfg.alphas[0]  # tau = 1
+        truncs = truncs_for(m.shape, 0.5)  # ceil(0.5 * 2) = 1 kept per mode
+        rho = 1 / 3  # tau = (1/3) / rho = 1
         t = np.zeros((3, *m.shape))
-        s = run_update_x(m, t, rho, truncs_for(m.shape, 0.5), cfg)
+        s = run_update_x(m, t, rho, truncs)
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = 3.0
         assert np.allclose(s, 3 * expected, atol=1e-10)
@@ -154,22 +157,21 @@ class TestUpdateX:
         # each mode equals its own standalone step, run here in reverse
         # order, so the result does not depend on the order of the modes
         y, mask = small_problem(seed=3)
-        cfg = SolverConfig(theta=0.1)
         truncs = truncs_for(y.shape, 0.1)
         m = np.where(mask, y, 0.0)
         rho = 0.01
         t = np.stack([0.001 * np.ones_like(y) * (k + 1) for k in range(3)])
         m_before, t_before = m.copy(), t.copy()
-        s = run_update_x(m, t, rho, truncs, cfg)
+        s = run_update_x(m, t, rho, truncs)
         assert np.array_equal(m, m_before)
         own = [None] * 3
         for mode in (2, 1, 0):
-            own[mode] = mode_step(m, t_before[mode], rho, mode, truncs[mode], cfg.alphas[mode])
+            own[mode] = mode_step(m, t_before[mode], rho, mode, truncs[mode])
             assert np.array_equal(t[mode], t_before[mode] + rho * own[mode])
         assert np.array_equal(s, sum(own))
         t_other = t_before.copy()
         t_other[1] += 5.0
-        run_update_x(m, t_other, rho, truncs, cfg)
+        run_update_x(m, t_other, rho, truncs)
         assert np.array_equal(t_other[0], t[0]) and np.array_equal(t_other[2], t[2])
         assert not np.array_equal(t_other[1] - 5.0, t[1])
 
@@ -329,7 +331,7 @@ def reference_solve(y, mask, cfg):
     obs_norm = float(np.linalg.norm(y[mask]))
     trace, rho_trace = [], []
     for _ in range(cfg.max_iter):
-        x = [mode_step(m, t[k], rho, k, truncs[k], cfg.alphas[k]) for k in range(3)]
+        x = [mode_step(m, t[k], rho, k, truncs[k]) for k in range(3)]
         t = [t_k + rho * x_k for x_k, t_k in zip(x, t)]
         m_old, m = m, np.where(mask, y, sum(x) / 3.0)
         t = [t_k - rho * m for t_k in t]
@@ -353,7 +355,7 @@ def paper_reference_solve(y, mask, cfg):
     for _ in range(cfg.max_iter):
         m_old = m
         x = [
-            fold(truncated_svt(unfold(m - t[k] / rho, k), truncs[k], cfg.alphas[k] / rho), k, m.shape)
+            fold(truncated_svt(unfold(m - t[k] / rho, k), truncs[k], (1 / 3) / rho), k, m.shape)
             for k in range(3)
         ]
         m = np.where(mask, y, sum(x) / 3.0 + sum(t) / (3.0 * rho))
@@ -390,7 +392,7 @@ class TestSolveLoopInvariants:
         trace, dual_sums = [], []
         for _ in range(cfg.max_iter):
             t_prev, rho_prev = t.copy(), rho
-            update_x(s, work, ms[-1], t, rho, truncs, cfg)
+            update_x(s, work, ms[-1], t, rho, truncs)
             update_m(s, y, mask)
             ms.append(s.copy())
             update_t(t, ms[-1], rho, scratch)
@@ -399,7 +401,7 @@ class TestSolveLoopInvariants:
             dual_sums.append(np.linalg.norm(t.sum(axis=0)[~mask]) / np.linalg.norm(t))
             if trace[-1] < cfg.epsilon:
                 break
-        x = [mode_step(ms[-2], t_prev[k], rho_prev, k, truncs[k], cfg.alphas[k]) for k in range(3)]
+        x = [mode_step(ms[-2], t_prev[k], rho_prev, k, truncs[k]) for k in range(3)]
         return ms, x, trace, dual_sums
 
     def test_manual_loop_matches_solve(self):
