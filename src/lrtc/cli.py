@@ -6,8 +6,9 @@ errors. A run-configuration file (``--config``) fills in the flags the
 command line leaves unset: a line ``key = value`` acts exactly like the flag
 whose dest is ``key`` given ``value``, except that a value it cannot read is a
 parse error naming the line. A key outside ``CONFIG_KEYS`` is a parse error, one
-the subcommand has no flag for is ignored. ``LRTC_JOBS`` sets the default
-worker count for benchmarks.
+the subcommand has no flag for is ignored. A flag that every run needs and
+neither source gives is a usage error. ``LRTC_JOBS`` sets the default worker
+count for benchmarks.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .data_io import FORMATS, load_run_config, load_tensor, save_tensor
+from .data_io import FORMATS, load_run_config, load_tensor, replacing, save_tensor
 from .errors import CompletionError, ConfigError, ParseError
 from .experiments import (
     cross_validate_theta,
@@ -42,8 +43,8 @@ CONFIG_KEYS = (
 )
 
 
-def _add_input_flags(parser, required=True):
-    parser.add_argument("--input", required=required, help="tensor file to load")
+def _add_input_flags(parser):
+    parser.add_argument("--input", help="tensor file to load")
     parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument(
         "--dims",
@@ -55,10 +56,19 @@ def _add_input_flags(parser, required=True):
     )
 
 
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
 def _add_schedule_flags(parser):
     for name in SCHEDULE_FIELDS:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=type(getattr(SolverConfig, name)), default=None)
+        parser.add_argument(_flag(name), type=type(getattr(SolverConfig, name)), default=None)
+
+
+def _set_command(parser, func, *needed):
+    """Run ``func``; every run needs the flags ``needed`` (dests, in flag order)."""
+    parser.set_defaults(func=func, needed=needed)
+    parser.epilog = "required: " + ", ".join(map(_flag, needed))
 
 
 def _add_config_flag(parser, help=None):
@@ -79,13 +89,13 @@ def build_parser():
     p_impute.add_argument("--theta", type=float, default=None)
     _add_schedule_flags(p_impute)
     p_impute.add_argument("--solver", choices=SOLVER_NAMES, default=None)
-    p_impute.add_argument("--output", required=True)
+    p_impute.add_argument("--output")
     p_impute.add_argument("--trace-output", default=None)
     _add_config_flag(p_impute, help="run-configuration file")
-    p_impute.set_defaults(func=cmd_impute)
+    _set_command(p_impute, cmd_impute, "input", "output")
 
     p_bench = sub.add_parser("benchmark", help="scenario grid over solvers")
-    _add_input_flags(p_bench, required=False)
+    _add_input_flags(p_bench)
     p_bench.add_argument(
         "--synth",
         nargs=4,
@@ -101,11 +111,11 @@ def build_parser():
     p_bench.add_argument("--seed", nargs="+", type=int, default=None)
     p_bench.add_argument("--theta", nargs="+", type=float, default=None)
     p_bench.add_argument("--solver", nargs="+", choices=SOLVER_NAMES, default=None)
-    p_bench.add_argument("--report", required=True)
+    p_bench.add_argument("--report")
     p_bench.add_argument("--jobs", type=int, default=None)
     _add_schedule_flags(p_bench)
     _add_config_flag(p_bench)
-    p_bench.set_defaults(func=cmd_benchmark)
+    _set_command(p_bench, cmd_benchmark, "pattern", "rate", "seed", "report")
 
     p_cv = sub.add_parser("cv", help="cross-validate theta on one scenario")
     _add_input_flags(p_cv)
@@ -116,17 +126,17 @@ def build_parser():
     p_cv.add_argument("--holdout-fraction", type=float, default=None)
     _add_schedule_flags(p_cv)
     _add_config_flag(p_cv)
-    p_cv.set_defaults(func=cmd_cv)
+    _set_command(p_cv, cmd_cv, "input", "pattern", "rate", "seed")
 
     p_synth = sub.add_parser("synth", help="write a synthetic low-rank tensor file")
-    p_synth.add_argument("--dims", nargs=3, type=int, required=True, metavar=("N1", "N2", "N3"))
-    p_synth.add_argument("--rank", type=int, required=True)
+    p_synth.add_argument("--dims", nargs=3, type=int, metavar=("N1", "N2", "N3"))
+    p_synth.add_argument("--rank", type=int)
     p_synth.add_argument("--offset", type=float, default=10.0)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--ones-factors", action="store_true")
-    p_synth.add_argument("--output", required=True)
+    p_synth.add_argument("--output")
     p_synth.add_argument("--format", choices=FORMATS, default="dense")
-    p_synth.set_defaults(func=cmd_synth)
+    _set_command(p_synth, cmd_synth, "dims", "rank", "output")
 
     return parser
 
@@ -171,22 +181,15 @@ def _schedule_config(args, theta):
     return SolverConfig(theta=theta, **{k: v for k, v in given.items() if v is not None})
 
 
-def _require_scenario_flags(args):
-    for name in ("pattern", "rate", "seed"):
-        if getattr(args, name) is None:
-            raise ConfigError(f"--{name} is required")
-
-
 def _load_input(args):
     return load_tensor(args.input, fmt=args.format or "dense", csv_dims=args.dims)
 
 
 def _write_trace(path, result):
-    lines = ["iteration,convergence_ratio,rho"]
-    for it, (ratio, rho) in enumerate(zip(result.trace, result.rho_trace), start=1):
-        lines.append(f"{it},{ratio!r},{rho!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = enumerate(zip(result.trace, result.rho_trace), start=1)
+    with replacing(path) as fh:
+        fh.write("iteration,convergence_ratio,rho\n")
+        fh.writelines(f"{it},{ratio!r},{rho!r}\n" for it, (ratio, rho) in rows)
 
 
 def cmd_impute(args):
@@ -222,7 +225,6 @@ def _benchmark_source(args):
 
 
 def cmd_benchmark(args):
-    _require_scenario_flags(args)
     solvers = args.solver or ["tnn"]
 
     solver_runs = []
@@ -269,7 +271,6 @@ def cmd_benchmark(args):
 
 
 def cmd_cv(args):
-    _require_scenario_flags(args)
     base = _schedule_config(args, 0.0)
     data, native_mask = _load_input(args)
     scenario = MissingScenario(pattern=args.pattern, rate=args.rate, seed=args.seed)
@@ -309,16 +310,13 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         _apply_config_file(args)
+        missing = [_flag(dest) for dest in args.needed if getattr(args, dest) is None]
+        if missing:
+            raise ParseError("the following arguments are required: " + ", ".join(missing))
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (CompletionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, ParseError) else 3 if isinstance(exc, ConfigError) else 4
 
 
 def entrypoint():

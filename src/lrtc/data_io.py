@@ -247,8 +247,10 @@ def _write_slabs(fh, slabs, masks, sep):
 
 
 @contextlib.contextmanager
-def _replacing(path):
+def replacing(path):
     """A text file for writing that takes the place of ``path`` only on success.
+
+    Every file lrtc writes goes through it: tensors, reports and traces.
 
     The file is a temporary sibling of ``path`` with the existing file's
     permission bits, renamed over ``path`` when the block completes and
@@ -282,9 +284,9 @@ def _replacing(path):
 
 
 def _save(path, head, slabs, masks, sep):
-    """Write ``head``, then the lines of ``slabs``, to ``path`` (see ``_replacing``)."""
+    """Write ``head``, then the lines of ``slabs``, to ``path`` (see ``replacing``)."""
     try:
-        with _replacing(path) as fh:
+        with replacing(path) as fh:
             fh.write(head)
             _write_slabs(fh, slabs, masks, sep)
     except BrokenExecutor as exc:
@@ -385,7 +387,6 @@ def load_run_config(path):
     Each line, cut at its first ``#``, is blank or ``key = value``; ``text`` is
     the stripped value, and a repeated key keeps its last line. Keys and values
     are not checked: ``lrtc.cli`` reads each value with the flag the key names.
-    (This used to return ``{key: value}`` with every value typed and checked.)
     """
     config = {}
     with _utf8_text(path) as fh:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data_io import replacing
 from .errors import ConfigError, DegenerateProblemError
 from .masks import MissingScenario, check_seed, scenario_mask
 from .metrics import mape, rmse
@@ -206,13 +207,13 @@ def write_report_csv(reports, path):
     """Machine-readable report: full-precision values, UTF-8, LF endings."""
     lines = [",".join(REPORT_COLUMNS)]
     lines.extend(",".join(map(str, _report_row(r))) for r in reports)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_report_json(reports, path):
     rows = [dict(zip(REPORT_COLUMNS, _report_row(r))) for r in reports]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         json.dump(rows, fh, indent=2)
         fh.write("\n")
 

@@ -124,8 +124,11 @@ def truncated_svt(matrix, trunc, tau):
     """
     matrix = np.asarray(matrix, dtype=float)
     bound = min(matrix.shape)
-    if not 0 <= int(trunc) == trunc:
-        raise ConfigError(f"truncation must be a nonnegative integer, got {trunc!r}")
+    try:
+        if not 0 <= int(trunc) == trunc:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):  # int() of None, nan and inf too
+        raise ConfigError(f"truncation must be a nonnegative integer, got {trunc!r}") from None
     if trunc >= bound:
         raise ConfigError(
             f"truncation {trunc} too large for a {matrix.shape[0]}x{matrix.shape[1]} "

@@ -362,12 +362,18 @@ _PARITY_CASES = [
     ("impute", "trace_output", "trace.csv", []),
     ("impute", "trace_output", "my trace.csv", []),
     ("impute", "trace_output", "no-such-dir/trace.csv", []),
+    ("impute", "input", "{spaced}", []),
+    ("impute", "output", "out.txt", []),
+    ("impute", "output", "my out.txt", []),
+    ("impute", "output", "no-such-dir/out.txt", []),
     ("benchmark-input", "input", "{spaced}", []),
     ("benchmark-input", "input", "{spaced}.missing", []),
+    ("benchmark", "report", "r.csv", []),
     ("benchmark", "pattern", "rm nm", []),
     ("benchmark", "rate", "0.2 0.4", []),
     ("benchmark", "seed", "1 2", []),
     ("benchmark", "seed", "1 -1", []),
+    ("cv", "input", "{spaced}", []),
     ("cv", "pattern", "nm", []),
     ("cv", "pattern", "block", []),
     ("cv", "rate", "0.4", []),
@@ -453,13 +459,30 @@ def test_config_line_acts_like_its_flag(parity_paths, tmp_path, monkeypatch, cap
         (_PARITY_BASES["benchmark"], "report"),
     ],
 )
-def test_config_line_for_a_required_flag_changes_nothing(parity_paths, tmp_path, monkeypatch,
-                                                         capsys, argv, key):
-    # --output and --report are required, so the command line always gives
-    # them, and a command-line flag wins over its config line
+def test_flag_on_the_command_line_wins_over_its_config_line(parity_paths, tmp_path, monkeypatch,
+                                                             capsys, argv, key):
+    # the command line gives --output or --report, so a line for the same key
+    # is read but changes nothing
     argv = [token.format(**parity_paths) for token in argv]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = elsewhere.txt\n", encoding="utf-8")
     alone = _run_in(tmp_path / "flag", monkeypatch, capsys, argv)
     assert alone[0] == 0
     assert _run_in(tmp_path / "config", monkeypatch, capsys, argv + ["--config", str(cfg)]) == alone
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("impute", "--input, --output"),
+        ("benchmark", "--pattern, --rate, --seed, --report"),
+        ("cv", "--input, --pattern, --rate, --seed"),
+        ("synth", "--dims, --rank, --output"),
+    ],
+)
+def test_missing_needed_flags_are_one_usage_error(tmp_path, monkeypatch, capsys, command, flags):
+    # checked after --config is applied, so every needed flag is named at once
+    monkeypatch.chdir(tmp_path)
+    assert main([command]) == 2
+    assert capsys.readouterr().err == f"error: the following arguments are required: {flags}\n"
+    assert not any(tmp_path.iterdir())

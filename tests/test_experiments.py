@@ -1,3 +1,4 @@
+import errno
 import json
 from dataclasses import replace
 
@@ -243,3 +244,17 @@ class TestBenchmark:
         assert rows[0]["pattern"] == "rm"
         assert rows[0]["theta"] == 0.1
         assert isinstance(rows[0]["mape"], float)
+
+    def test_interrupted_report_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        path.write_text("old\n", encoding="utf-8")
+
+        def dump_then_fail(rows, fh, **kwargs):
+            fh.write("[")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            write_report_json([], path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -205,6 +205,9 @@ class TestTruncatedSvt:
             truncated_svt(np.ones((3, 4)), 1, np.nan)
         with pytest.raises(ConfigError):
             svt(np.ones((3, 4)), np.nan)
+        for trunc in (np.nan, np.inf, None):
+            with pytest.raises(ConfigError):
+                truncated_svt(np.ones((3, 4)), trunc, 1.0)
 
     @given(
         rows=st.integers(1, 8),

@@ -488,13 +488,20 @@ def test_answer_does_not_depend_on_svd_route(monkeypatch):
     y, _ = small_problem(seed=18, dims=(30, 20, 40), rank=3)
     configs = [SolverConfig(theta=0.0), SolverConfig(theta=0.0, rho0=1e-2), SolverConfig(theta=0.1)]
     cases = [
-        (pattern(y.shape, 0.4, seed=518), cfg)
+        (y, pattern(y.shape, 0.4, seed=518), cfg)
         for pattern in (generate_rm_mask, generate_nm_mask)
         for cfg in configs
     ]
-    results = [solve(y, mask, cfg) for mask, cfg in cases]
+    # mode 0 of a tall tensor unfolds to 60x12, which thin_svd transposes
+    tall, _ = small_problem(seed=18, dims=(60, 3, 4), rank=3)
+    cases += [
+        (tall, pattern(tall.shape, 0.4, seed=518), cfg)
+        for pattern in (generate_rm_mask, generate_nm_mask)
+        for cfg in configs[1:]
+    ]
+    results = [solve(*case) for case in cases]
     monkeypatch.setattr(lrtc.shrinkage, "thin_svd", lapack_thin_svd)
-    for (mask, cfg), result in zip(cases, results):
+    for (y, mask, cfg), result in zip(cases, results):
         oracle = solve(y, mask, cfg)
         assert (result.iterations, result.converged) == (oracle.iterations, oracle.converged)
         error = frobenius_norm(result.recovered - oracle.recovered)
