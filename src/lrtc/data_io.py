@@ -19,21 +19,33 @@ case, or an empty CSV cell, marks a missing entry; ``+nan``, ``-nan``,
 infinities and values that overflow to infinity are rejected with a
 ``path:line:column`` error. The writers refuse non-finite values in every
 entry they write as a number, and write each value as the ``repr`` of a
-Python float, the shortest text that reads back to the same double. Files are
-parsed a line at a time. A tensor of at least ``2**17`` values is formatted on
-every core the process may use, in forked worker processes; the bytes written
-do not depend on the core count. Smaller tensors, and every save made off
-Linux, on one core or while another Python thread is alive, are formatted in
-the calling process. A save writes a temporary file beside its target and
-renames it over the target only once every line is written, so a failed save
-leaves the previous file as it was; a target that exists and is not a regular
-file (a FIFO, a symlink such as ``/dev/stdout``) is written in place.
+Python float, the shortest text that reads back to the same double.
 
-Files are read as UTF-8; a byte that is not UTF-8 is a parse error naming the
-file but no line. A loader's flat arrays start empty and at least double, in
-place, as they fill: up to the header's count for dense, trimmed to the rows
-read for CSV. So a header or (days, intervals) pair that promises more values
-than the file holds allocates no more than the file fills, and is a parse error.
+Files are read as UTF-8 and parsed a line at a time; a byte that is not UTF-8
+is a parse error naming the file but no line. A large job runs on every core
+the process may use, in forked worker processes (``_fork_workers`` holds the
+rule): a tensor of at least ``2**17`` values is formatted there, and so is the
+body of a regular file that holds about as many (the header's count for dense,
+one value per two bytes for CSV). Smaller jobs, FIFOs, and every job on a
+platform other than Linux, on one core or while another Python thread is
+alive, run in the calling process. Neither route changes a result: the bytes
+written do not depend on the core count, and the workers' arrays are those the
+serial read returns. A chunk that fails to parse, for any reason, sends the
+whole body back to the serial read, which raises every error as it always has.
+
+A serial loader's flat arrays start empty and at least double, in place, as
+they fill: up to the header's count for dense, trimmed to the rows read for
+CSV. So a header or (days, intervals) pair that promises more values than the
+file holds allocates no more than the file fills, and is a parse error. The
+workers parse into anonymous shared memory mapped before they fork, one slot
+per chunk with room for as many values as its bytes can hold; only the pages
+they fill are ever committed, and the parent copies those into the arrays it
+returns, and unmaps the slots.
+
+A save writes a temporary file beside its target and renames it over the
+target only once every line is written, so a failed save leaves the previous
+file as it was; a target that exists and is not a regular file (a FIFO, a
+symlink such as ``/dev/stdout``) is written in place.
 
 Run-configuration files are ``key = value`` lines (``#`` comments allowed);
 ``load_run_config`` returns each value's text and line, which the CLI reads
@@ -41,7 +53,10 @@ exactly as it reads the flag the key names.
 """
 
 import contextlib
+import functools
+import itertools
 import math
+import mmap
 import os
 import stat
 import sys
@@ -58,14 +73,68 @@ FORMATS = ("dense", "csv")
 
 # Capacity, in values, of a loader's arrays once its first row arrives.
 _START_VALUES = 1 << 16
+# Below this many values a job runs in the calling process: pool start-up and
+# teardown (about 10 ms) cost as much as formatting or parsing 10k values.
+_PARALLEL_MIN_VALUES = 2**17
+# More chunks than workers, so that a worker that finishes early takes
+# another, and the writer writes early chunks while the workers format later
+# ones.
+_CHUNKS_PER_WORKER = 4
+# The state a forked worker inherits from the job that started it.
+_inherited = None
+
+
+def _fork_workers(values, most):
+    """How many forked worker processes a job of ``values`` values, cut into
+    at most ``most`` chunks, runs on; below 2 it runs in the calling process.
+
+    The one home of the rule for both reads and writes: a job of at least
+    ``_PARALLEL_MIN_VALUES`` values, on Linux, while no other Python thread is
+    alive (forking one is unsafe), gets ``min(usable cores, most)`` workers.
+    """
+    if (
+        values >= _PARALLEL_MIN_VALUES
+        and sys.platform.startswith("linux")
+        and threading.active_count() == 1
+    ):
+        return min(len(os.sched_getaffinity(0)), most)
+    return 1
+
+
+def _inherit(state):
+    global _inherited
+    _inherited = state
+
+
+def _fork_map(workers, task, state, *iterables):
+    """``map(task, *iterables)`` in ``workers`` forked processes, results in order.
+
+    The workers inherit ``state`` (in ``_inherited``) through the fork, so
+    nothing is pickled but the arguments and the results. A task that raises
+    re-raises here; a worker that dies raises ``BrokenExecutor``.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_inherit,
+        initargs=(state,),
+    ) as pool:
+        yield from pool.map(task, *iterables)
 
 
 @contextlib.contextmanager
 def _utf8_text(path):
     """``path`` open as UTF-8 text; a byte that is not UTF-8 is a ``ParseError``
-    naming the file but no line, as decoding runs a chunk ahead of the lines."""
+    naming the file but no line, as decoding runs a chunk ahead of the lines.
+
+    Lines end at a newline, a carriage return or the pair of them, and keep
+    their ending, so a line read spans ``len(line.encode())`` bytes.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -122,6 +191,110 @@ def _store(values, observed, pos, tokens, path, line_no, cap):
     return end
 
 
+def _store_lines(lines, tokens_of, values, observed, pos, path, line_no, cap):
+    """``_store`` each line's ``tokens_of(line, path, line_no)``, numbering the
+    lines from ``line_no``; return the position after them and the last line's
+    number (``line_no - 1`` when there are none)."""
+    line_no -= 1
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        pos = _store(values, observed, pos, tokens_of(line, path, line_no), path, line_no, cap)
+    return pos, line_no
+
+
+def _after_newline(fd, pos, stop):
+    """The offset just past the first newline byte in ``[pos, stop)`` of ``fd``, else ``stop``."""
+    while pos < stop:
+        block = os.pread(fd, min(1 << 16, stop - pos), pos)
+        if not block:
+            break
+        found = block.find(b"\n")
+        if found >= 0:
+            return pos + found + 1
+        pos += len(block)
+    return stop
+
+
+def _parse_chunk(k):
+    """Parse chunk ``k`` of the inherited job into its slot; return its value count.
+
+    The chunk is read with ``pread`` through the parent's descriptor, so it
+    comes from the file the parent read the header from. Its lines end where
+    the text reader ends them: at a newline, a carriage return or the pair.
+    ``str.splitlines`` would also end them at other characters, such as
+    ``\\x85``, that the text reader keeps inside a line.
+    """
+    fd, path, cuts, shm, slots, tokens_of = _inherited
+    start, stop = cuts[k], cuts[k + 1]
+    data = os.pread(fd, stop - start, start)
+    if len(data) != stop - start:
+        raise EOFError(f"{path} shrank while it was read")
+    lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    room = slots[k + 1] - slots[k]
+    values = np.frombuffer(shm, float, room, 8 * slots[k])
+    observed = np.frombuffer(shm, bool, room, 8 * slots[-1] + slots[k])
+    return _store_lines(lines, tokens_of, values, observed, 0, path, 1, room)[0]
+
+
+def _gather(shm, slots, counts):
+    """The filled start of every slot, joined into new flat arrays."""
+    values = np.frombuffer(shm, float, slots[-1])
+    observed = np.frombuffer(shm, bool, slots[-1], 8 * slots[-1])
+    return tuple(
+        np.concatenate([a[s : s + n] for s, n in zip(slots, counts)]) for a in (values, observed)
+    )
+
+
+def _parse_in_workers(fh, start, tokens_of, bytes_per_value, count=None):
+    """The body of ``fh`` from byte ``start`` on, parsed in forked workers into
+    flat ``(values, observed)`` arrays; None when it must be read serially.
+
+    It is None when ``fh`` is not a regular file, when ``_fork_workers`` keeps
+    the job (``count`` values, or for CSV a value per two bytes) in the
+    calling process, and when any chunk fails: a bad token or byte, a wrong
+    CSV width, a worker that raises or dies. The caller then reads the body
+    serially from the same position, and so raises each error as it always
+    has. The parent cuts the body just past newline bytes, near even splits,
+    so a chunk owns the lines that start in it and never splits a CRLF pair.
+    A chunk of ``b`` bytes holds at most ``b // bytes_per_value + 1`` values,
+    since a value and its separator take at least ``bytes_per_value`` bytes;
+    that is the size of its slot in the shared memory.
+    """
+    fd = fh.fileno()
+    info = os.fstat(fd)
+    stop = info.st_size
+    if not stat.S_ISREG(info.st_mode) or stop <= start:
+        return None
+    workers = _fork_workers((stop - start) // 2 if count is None else count, math.inf)
+    if workers < 2:
+        return None
+    chunks = _CHUNKS_PER_WORKER * workers
+    cuts = [start]
+    for k in range(1, chunks):
+        split = start + (stop - start) * k // chunks - 1
+        cuts.append(cuts[-1] if split < cuts[-1] else _after_newline(fd, split, stop))
+    cuts.append(stop)
+    slots = [0]
+    for k in range(chunks):
+        slots.append(slots[-1] + (cuts[k + 1] - cuts[k]) // bytes_per_value + 1)
+    try:
+        # anonymous and shared: written by the workers, committed only where written
+        shm = mmap.mmap(-1, 9 * slots[-1])
+    except OSError:
+        return None
+    with shm:
+        state = (fd, fh.name, cuts, shm, slots, tokens_of)
+        try:
+            counts = list(_fork_map(workers, _parse_chunk, state, range(chunks)))
+        except Exception:
+            # whatever failed, the serial read reports it with its line, or succeeds
+            return None
+        return _gather(shm, slots, counts)
+
+
+def _dense_tokens(line, path, line_no):
+    return line.split()
+
+
 def load_dense(path):
     """Read a dense-format file into (tensor, mask)."""
     with _utf8_text(path) as fh:
@@ -145,12 +318,14 @@ def load_dense(path):
                 raise ParseError(f"{path}:1:{col_no}: dimensions must be positive, got {d}")
             dims.append(d)
         count = math.prod(dims)
-        values, observed = np.empty(0), np.empty(0, dtype=bool)
-        pos, line_no = 0, 1
-        for line_no, line in enumerate(fh, start=2):
-            pos = _store(values, observed, pos, line.split(), path, line_no, count)
-    if pos != count:
-        raise ParseError(f"{path}:{line_no}: expected {count} values, found {pos}")
+        flat = _parse_in_workers(fh, len(first.encode()), _dense_tokens, 2, count)
+        if flat is not None and len(flat[0]) == count:
+            values, observed = flat
+        else:
+            values, observed = np.empty(0), np.empty(0, dtype=bool)
+            pos, line_no = _store_lines(fh, _dense_tokens, values, observed, 0, path, 2, count)
+            if pos != count:
+                raise ParseError(f"{path}:{line_no}: expected {count} values, found {pos}")
     return values.reshape(dims), observed.reshape(dims)
 
 
@@ -174,16 +349,6 @@ def _check_output(tensor, mask):
     return tensor, mask
 
 
-# Below this many values a tensor is formatted in the calling process: pool
-# start-up and teardown (about 10 ms) cost as much as formatting 10k values.
-_PARALLEL_MIN_VALUES = 2**17
-# More chunks than workers, so the parent writes early chunks while the
-# workers format later ones.
-_CHUNKS_PER_WORKER = 4
-# (slabs, masks, sep) inside a formatting worker, inherited through fork.
-_worker_slabs = None
-
-
 def _format_slabs(slabs, masks, sep, start, stop):
     """The lines of ``slabs[start:stop]``: each matrix row as ``sep``-joined values.
 
@@ -198,52 +363,28 @@ def _format_slabs(slabs, masks, sep, start, stop):
     return "".join(parts)
 
 
-def _init_worker(slabs, masks, sep):
-    global _worker_slabs
-    _worker_slabs = (slabs, masks, sep)
-
-
 def _format_chunk(start, stop):
-    return _format_slabs(*_worker_slabs, start, stop)
+    return _format_slabs(*_inherited, start, stop)
 
 
 def _write_slabs(fh, slabs, masks, sep):
     """Write each matrix ``slabs[i]`` as lines of ``sep``-joined values.
 
-    A tensor of at least ``_PARALLEL_MIN_VALUES`` values is cut into a few
-    contiguous runs of slabs, which worker processes format on every core the
-    process may use while the parent writes the returned text in order. The
-    workers are forked, so they inherit the arrays and nothing is pickled but
-    the text. Smaller tensors, and saves made off Linux, on one core or while
-    another Python thread is alive (forking one is unsafe), are formatted in
-    the calling process one slab at a time, so the Python floats alive at once
-    stay few. The bytes written are the same on either route and for any core
-    count.
+    When ``_fork_workers`` allows, the slabs are cut into a few contiguous
+    runs, which forked workers format while the parent writes the returned
+    text in order. Otherwise they are formatted in the calling process one
+    slab at a time, so the Python floats alive at once stay few. The bytes
+    written are the same on either route and for any core count.
     """
-    workers = 1
-    if (
-        slabs.size >= _PARALLEL_MIN_VALUES
-        and sys.platform.startswith("linux")
-        and threading.active_count() == 1
-    ):
-        workers = min(len(os.sched_getaffinity(0)), len(slabs))
+    workers = _fork_workers(slabs.size, len(slabs))
     if workers < 2:
         for i in range(len(slabs)):
             fh.write(_format_slabs(slabs, masks, sep, i, i + 1))
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     chunks = min(len(slabs), _CHUNKS_PER_WORKER * workers)
     bounds = [len(slabs) * k // chunks for k in range(chunks + 1)]
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(slabs, masks, sep),
-    ) as pool:
-        for text in pool.map(_format_chunk, bounds[:-1], bounds[1:]):
-            fh.write(text)
+    for text in _fork_map(workers, _format_chunk, (slabs, masks, sep), bounds[:-1], bounds[1:]):
+        fh.write(text)
 
 
 @contextlib.contextmanager
@@ -312,38 +453,51 @@ def _looks_like_header(cells):
     return bool(tokens)
 
 
+def _csv_tokens(width, line, path, line_no):
+    """A CSV line's cells as tokens, an empty cell read as ``nan``; none for a
+    blank line, and a ``ParseError`` for a line that is not ``width`` cells."""
+    if not line.strip():
+        return []
+    cells = line.split(",")
+    if len(cells) != width:
+        raise ParseError(
+            f"{path}:{line_no}: expected {width} columns (days*intervals), got {len(cells)}"
+        )
+    return [cell.strip() or "nan" for cell in cells]
+
+
 def load_matrix_csv(path, days, intervals):
     """Read a locations x (days*intervals) CSV into a (tensor, mask) pair."""
     days, intervals = int(days), int(intervals)
     if days < 1 or intervals < 1:
         raise ConfigError(f"days and intervals must be positive, got {days}, {intervals}")
     width = days * intervals
-    values, observed = np.empty(0), np.empty(0, dtype=bool)
-    pos = 0
-    header = 0  # line number of the header row, if any
+    tokens_of = functools.partial(_csv_tokens, width)
     with _utf8_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cells = line.split(",")
-            # only the first non-blank line may be a header
-            if not (pos or header) and _looks_like_header(cells):
-                header = line_no
-                continue
-            if len(cells) != width:
-                raise ParseError(
-                    f"{path}:{line_no}: expected {width} columns (days*intervals), got {len(cells)}"
-                )
-            # an empty cell marks a missing entry, exactly as nan does
-            tokens = [cell.strip() or "nan" for cell in cells]
-            pos = _store(values, observed, pos, tokens, path, line_no, math.inf)
-    if not pos:
+        # only the first non-blank line may be a header
+        start, line_no, line = 0, 0, ""
+        for line in iter(fh.readline, ""):
+            line_no += 1
+            if line.strip():
+                break
+            start += len(line.encode())
+        header = line_no if line.strip() and _looks_like_header(line.split(",")) else 0
+        if header:
+            start += len(line.encode())
+        flat = _parse_in_workers(fh, start, tokens_of, 1)
+        if flat is None:
+            values, observed = np.empty(0), np.empty(0, dtype=bool)
+            lines, first_no = (fh, line_no + 1) if header else (itertools.chain([line], fh), line_no)
+            pos, _ = _store_lines(lines, tokens_of, values, observed, 0, path, first_no, math.inf)
+            values.resize(pos, refcheck=False)
+            observed.resize(pos, refcheck=False)
+            flat = values, observed
+    values, observed = flat
+    if not len(values):
         raise ParseError(
             f"{path}:{header}: no data rows after header" if header else f"{path}:1: empty file"
         )
-    values.resize(pos, refcheck=False)
-    observed.resize(pos, refcheck=False)
-    shape = (pos // width, days, intervals)
+    shape = (len(values) // width, days, intervals)
     return values.reshape(shape), observed.reshape(shape)
 
 

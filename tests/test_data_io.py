@@ -1,6 +1,9 @@
 import concurrent.futures
+import multiprocessing
 import os
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -531,7 +534,7 @@ def dense_texts(draw):
         st.sampled_from(["{} {} {}".format(*dims)] * 16 + ["", "2 2", "a 1 1", "0 1 1", "1 1 1 1"])
     )
     tokens = draw(_token_lists(dims[0] * dims[1] * dims[2]))
-    gaps = st.sampled_from([" ", " ", "\t", "  ", "\n", "\n", "\n\n", " \n \n"])
+    gaps = st.sampled_from([" ", " ", "\t", "  ", "\n", "\n", "\n\n", " \n \n", "\r\n", "\r", " \r\n\r"])
     body = "".join(token + draw(gaps) for token in tokens)
     text = header + "\n" + body
     return draw(st.sampled_from([text] * 4 + [text.rstrip("\n"), "", header]))
@@ -552,7 +555,7 @@ def csv_texts(draw):
                 cells[draw(st.integers(0, len(cells) - 1))] = draw(padded)
         lines.append(",".join(cells))
         lines.extend([""] * draw(st.integers(0, 1)))
-    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
     return days, intervals, text + draw(st.sampled_from(["", "\n"]))
 
 
@@ -607,9 +610,9 @@ def test_writers_match_per_scalar_oracle(pair, tmp_path):
         assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
-def _route_every_save_to_pool(monkeypatch, cores):
-    """Send saves of any size to the worker pool, as if ``cores`` cores were
-    usable; returns the worker count of every pool started."""
+def _route_every_job_to_pool(monkeypatch, cores):
+    """Send saves and loads of any size to the worker pool, as if ``cores``
+    cores were usable; returns the worker count of every pool started."""
     monkeypatch.setattr(data_io, "_PARALLEL_MIN_VALUES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     started = []
@@ -627,7 +630,7 @@ def _route_every_save_to_pool(monkeypatch, cores):
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_parallel_writers_match_per_scalar_oracle(pair, cores, per_worker, tmp_path, monkeypatch):
     tensor, mask = pair
-    started = _route_every_save_to_pool(monkeypatch, cores)
+    started = _route_every_job_to_pool(monkeypatch, cores)
     # one chunk per worker puts several slabs in a chunk
     monkeypatch.setattr(data_io, "_CHUNKS_PER_WORKER", per_worker)
     for save, oracle in _WRITERS:
@@ -639,14 +642,24 @@ def test_parallel_writers_match_per_scalar_oracle(pair, cores, per_worker, tmp_p
     assert started == ([workers] * len(_WRITERS) if workers > 1 else [])
 
 
-def test_save_while_another_thread_lives_is_serial(tmp_path, monkeypatch):
+def _refuse_pool(monkeypatch):
+    """Make every job large enough for the pool on two cores, and starting one
+    an error; returns every attempt, since a load hands any error in its pool
+    over to the serial read."""
     monkeypatch.setattr(data_io, "_PARALLEL_MIN_VALUES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    attempts = []
 
     def refuse(*args, **kwargs):
-        raise AssertionError("forked a pool while another thread was alive")
+        attempts.append(args)
+        raise AssertionError("forked a pool where the job had to stay serial")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    return attempts
+
+
+def test_save_while_another_thread_lives_is_serial(tmp_path, monkeypatch):
+    _refuse_pool(monkeypatch)
     rng = np.random.default_rng(4)
     tensor = rng.standard_normal((5, 3, 4))
     mask = rng.random(tensor.shape) < 0.7
@@ -662,6 +675,139 @@ def test_save_while_another_thread_lives_is_serial(tmp_path, monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+# (loader, oracle, extra arguments) for both formats
+_LOADERS = ((load_dense, _oracle_load_dense, ()), (load_matrix_csv, _oracle_load_matrix_csv, (2, 3)))
+
+
+@given(
+    text=dense_texts(),
+    case=csv_texts(),
+    cores=st.sampled_from([1, 2, 3]),
+    per_worker=st.sampled_from([1, 4]),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_parallel_loaders_match_per_token_oracle(text, case, cores, per_worker, tmp_path, monkeypatch):
+    # many chunks over a short body put most cuts inside lines and CRLF pairs
+    started = _route_every_job_to_pool(monkeypatch, cores)
+    monkeypatch.setattr(data_io, "_CHUNKS_PER_WORKER", per_worker)
+    dense, csv = tmp_path / "t.txt", tmp_path / "m.csv"
+    dense.write_bytes(text.encode("utf-8"))
+    days, intervals, csv_text = case
+    csv.write_bytes(csv_text.encode("utf-8"))
+    assert _outcome(load_dense, dense) == _outcome(_oracle_load_dense, dense)
+    assert _outcome(load_matrix_csv, csv, days, intervals) == _outcome(
+        _oracle_load_matrix_csv, csv, days, intervals
+    )
+    # at most one pool per load, on every usable core; one core is no pool
+    assert started in ([], [cores], [cores, cores]) if cores > 1 else started == []
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("fmt", ["dense", "csv"])
+def test_large_file_is_parsed_in_workers_into_the_same_arrays(tmp_path, monkeypatch, fmt, newline):
+    # 132,000 values, just over the pool's threshold, on two usable cores
+    rng = np.random.default_rng(5)
+    tensor = rng.standard_normal((40, 30, 110)) * 100
+    mask = rng.random(tensor.shape) < 0.9
+    path = tmp_path / "t"
+    save_tensor(path, np.where(mask, tensor, 0.0), mask, fmt=fmt)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    load, oracle, _ = _LOADERS[fmt == "csv"]
+    extra = (30, 110) if fmt == "csv" else ()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parsed = []
+    real = data_io._parse_in_workers
+    monkeypatch.setattr(data_io, "_parse_in_workers", lambda *a: parsed.append(real(*a)) or parsed[-1])
+    assert _outcome(load, path, *extra) == _outcome(oracle, path, *extra)
+    # the arrays came from the workers, not from a hand-over to the serial read
+    assert len(parsed) == 1 and parsed[0] is not None
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_workers_end_lines_where_the_text_reader_does(tmp_path, monkeypatch, sep):
+    # str.splitlines would end a line at each of these and read two good rows
+    # where the text reader sees one row of three cells
+    started = _route_every_job_to_pool(monkeypatch, 2)
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,2\n1,2{sep}3,4\n5,6\n", encoding="utf-8")
+    assert _outcome(load_matrix_csv, path, 1, 2) == _outcome(_oracle_load_matrix_csv, path, 1, 2)
+    assert started == [2]
+
+
+def test_load_while_another_thread_lives_is_serial(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    tensor = rng.standard_normal((5, 2, 3))
+    mask = rng.random(tensor.shape) < 0.7
+    attempts = _refuse_pool(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, daemon=True)
+    thread.start()
+    try:
+        for fmt, (load, oracle, extra) in zip(["dense", "csv"], _LOADERS):
+            path = tmp_path / fmt
+            save_tensor(path, tensor, mask, fmt=fmt)
+            assert _outcome(load, path, *extra) == _outcome(oracle, path, *extra)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert attempts == []
+
+
+def test_fifo_load_is_serial(tmp_path, monkeypatch):
+    # the FIFO is fed by another process, so this process has one thread and
+    # only the file's type keeps the load serial
+    path = tmp_path / "t.txt"
+    save_dense(path, np.arange(24.0).reshape(2, 3, 4))
+    attempts = _refuse_pool(monkeypatch)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    feed = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+    writer = subprocess.Popen([sys.executable, "-c", feed, str(path), str(fifo)])
+    try:
+        assert _outcome(load_dense, fifo) == _outcome(_oracle_load_dense, path)
+    finally:
+        assert writer.wait(timeout=10) == 0
+    assert attempts == []
+
+
+def _parse_in_worker_then(fault):
+    parent, real = os.getpid(), data_io._store_lines
+
+    def store_lines(*args):
+        if os.getpid() == parent:
+            return real(*args)
+        if fault == "exit":
+            os._exit(1)
+        raise ValueError("parsing failed")
+
+    return store_lines
+
+
+@pytest.mark.parametrize("fault", ["raise", "exit"])
+@pytest.mark.parametrize(
+    "fmt, text, error",
+    [
+        ("dense", "2 1 3\n1 2 3\n4 nan 6\n", None),
+        ("dense", "2 1 3\n1 2 3\n4 x 6\n", ":3:2: cannot parse 'x'"),
+        ("csv", "1,2,3,4,5,6\n1,,3,4,5,6\n", None),
+        ("csv", "1,2,3,4,5,6\n4,5\n", ":2: expected 6 columns"),
+    ],
+    ids=["dense", "dense-bad-token", "csv", "csv-bad-width"],
+)
+def test_failed_worker_hands_the_load_to_the_serial_read(tmp_path, monkeypatch, fault, fmt, text, error):
+    load, oracle, extra = _LOADERS[fmt == "csv"]
+    path = tmp_path / "in.txt"
+    path.write_text(text, encoding="utf-8")
+    expected = _outcome(oracle, path, *extra)
+    assert expected[0] == "ParseError" and error in expected[1] if error else len(expected) == 5
+    started = _route_every_job_to_pool(monkeypatch, 2)
+    monkeypatch.setattr(data_io, "_store_lines", _parse_in_worker_then(fault))
+    assert _outcome(load, path, *extra) == expected
+    assert started == [2]
+    assert multiprocessing.active_children() == []
 
 
 def _format_in_worker_then(fault):
@@ -683,7 +829,7 @@ class TestFailedSave:
         path = tmp_path / "t"
         save_tensor(path, np.ones((2, 2, 2)), fmt=fmt)
         before = path.read_bytes()
-        _route_every_save_to_pool(monkeypatch, 2)
+        _route_every_job_to_pool(monkeypatch, 2)
         monkeypatch.setattr(data_io, "_format_slabs", _format_in_worker_then(fault))
         error = (ValueError, "formatting failed") if fault == "raise" else (OSError, str(path))
         with pytest.raises(error[0], match=error[1]):
@@ -846,17 +992,28 @@ class TestRunConfigFile:
         assert not (tmp_path / "r.csv").exists()
 
 
+# a body long enough that the text reader's first read-ahead ends before the bad byte
+_LONG = 20000
+
+
 @pytest.mark.parametrize(
     "text, load",
     [
         (b"1 1 2\n1.0 \xff\n", load_dense),
+        (b"1 1 30000\n" + b"1.5\n" * _LONG + b"\xff\n", load_dense),
         (b"1.0,\xff\n", lambda path: load_matrix_csv(path, 1, 2)),
+        (b"1.5,1.5\n" * _LONG + b"\xff,1\n", lambda path: load_matrix_csv(path, 1, 2)),
         (b"theta = 0.1\n# \xff\n", load_run_config),
     ],
-    ids=["dense", "csv", "run-config"],
+    ids=["dense", "dense-late", "csv", "csv-late", "run-config"],
 )
-def test_non_utf8_file_is_parse_error_naming_it(tmp_path, text, load):
+def test_non_utf8_file_is_parse_error_naming_it(tmp_path, monkeypatch, text, load):
     path = tmp_path / "in.txt"
     path.write_bytes(text)
-    with pytest.raises(ParseError, match=r"in\.txt: not UTF-8 text"):
-        load(path)
+    for route in ("serial", "pool"):
+        with monkeypatch.context() as patch:
+            started = _route_every_job_to_pool(patch, 2) if route == "pool" else []
+            with pytest.raises(ParseError, match=r"in\.txt: not UTF-8 text"):
+                load(path)
+        # only a bad byte past the header's read-ahead reaches a worker
+        assert started == ([2] if route == "pool" and len(text) > 1 << 16 else []), route

@@ -4,6 +4,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lrtc.shrinkage
 from lrtc import (
@@ -93,8 +96,9 @@ class TestStartState:
 
     def first_iteration(self, y, mask, cfg):
         t = np.zeros((3, *y.shape))
-        s = run_update_x(np.where(mask, y, 0.0), t, cfg.rho0, truncs_for(y.shape, cfg.theta))
-        update_m(s, y, mask)
+        m = np.where(mask, y, 0.0)
+        s = run_update_x(m, t, cfg.rho0, truncs_for(y.shape, cfg.theta))
+        update_m(s, m, mask, np.full(y.size, np.nan))
         return s
 
     def test_fully_observed(self):
@@ -176,19 +180,44 @@ class TestUpdateX:
         assert not np.array_equal(t_other[1] - 5.0, t[1])
 
 
+def run_update_m(s, y, mask):
+    """update_m with the previous m holding y on the observed entries and
+    junk elsewhere, and a work buffer it must overwrite."""
+    m = np.where(mask, y, -7.0)
+    update_m(s, m, mask, np.full(y.size, np.nan))
+    assert np.array_equal(m, np.where(mask, y, -7.0))
+    return s
+
+
+@st.composite
+def consensus_cases(draw):
+    dims = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    # signed zeros and, in s, non-finite values, which only an overflow leaves
+    special = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
+    specials = st.sampled_from(special)
+    y = draw(arrays(np.float64, dims, elements=st.one_of(st.floats(-1e300, 1e300), specials)))
+    s = draw(arrays(np.float64, dims, elements=st.one_of(st.floats(), specials)))
+    return s, y, draw(arrays(np.bool_, dims))
+
+
 class TestUpdateM:
     def test_average_of_identical_terms(self):
         y, mask = small_problem(seed=1)
         common = np.full(y.shape, 2.5)
-        s = common + common + common
-        update_m(s, y, mask)
+        s = run_update_m(common + common + common, y, mask)
         assert np.array_equal(s[~mask], common[~mask])
 
     def test_observed_entries_pinned(self):
         y, mask = small_problem(seed=2)
-        s = np.zeros(y.shape)
-        update_m(s, y, mask)
+        s = run_update_m(np.zeros(y.shape), y, mask)
         assert np.array_equal(s[mask], y[mask])
+
+    @given(case=consensus_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_masked_average_bit_for_bit(self, case):
+        s, y, mask = case
+        expected = np.where(mask, y, s / 3)
+        assert run_update_m(s, y, mask).tobytes() == expected.tobytes()
 
 
 class TestUpdateT:
@@ -393,7 +422,7 @@ class TestSolveLoopInvariants:
         for _ in range(cfg.max_iter):
             t_prev, rho_prev = t.copy(), rho
             update_x(s, work, ms[-1], t, rho, truncs)
-            update_m(s, y, mask)
+            update_m(s, ms[-1], mask, work)
             ms.append(s.copy())
             update_t(t, ms[-1], rho, scratch)
             rho = min(cfg.rho_mult * rho, cfg.rho_max)
