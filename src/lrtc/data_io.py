@@ -24,14 +24,14 @@ Python float, the shortest text that reads back to the same double.
 Files are read as UTF-8 and parsed a line at a time; a byte that is not UTF-8
 is a parse error naming the file but no line. A large job runs on every core
 the process may use, in forked worker processes (``_fork_workers`` holds the
-rule): a tensor of at least ``2**17`` values is formatted there, and so is the
-body of a regular file that holds about as many (the header's count for dense,
-one value per two bytes for CSV). Smaller jobs, FIFOs, and every job on a
-platform other than Linux, on one core or while another Python thread is
-alive, run in the calling process. Neither route changes a result: the bytes
-written do not depend on the core count, and the workers' arrays are those the
-serial read returns. A chunk that fails to parse, for any reason, sends the
-whole body back to the serial read, which raises every error as it always has.
+rule): a tensor of at least ``2**17`` values is formatted there, and the body
+of a regular file of at least 4 MiB is parsed there. Smaller jobs, FIFOs, and
+every job on a platform other than Linux, on one core or while another Python
+thread is alive, run in the calling process. Neither route changes a result:
+the bytes written do not depend on the core count, and the workers' arrays are
+those the serial read returns. A chunk that fails to parse, for any reason,
+sends the whole body back to the serial read, which raises every error as it
+always has.
 
 A serial loader's flat arrays start empty and at least double, in place, as
 they fill: up to the header's count for dense, trimmed to the rows read for
@@ -76,6 +76,12 @@ _START_VALUES = 1 << 16
 # Below this many values a job runs in the calling process: pool start-up and
 # teardown (about 10 ms) cost as much as formatting or parsing 10k values.
 _PARALLEL_MIN_VALUES = 2**17
+# A read counts one value of work per this many bytes of its body, so a body
+# of 4 MiB or more is parsed in workers. Parse time follows the bytes: 30-35 ns
+# a byte for dense and 22-38 for CSV on one core of a 2-core x86 host, where
+# two workers lost to the serial read at 2.3 MB and won (dense) or broke even
+# (CSV) at 4.2-4.6 MB, after their start-up, module imports and gather.
+_BYTES_PER_VALUE = 32
 # More chunks than workers, so that a worker that finishes early takes
 # another, and the writer writes early chunks while the workers format later
 # ones.
@@ -106,12 +112,15 @@ def _inherit(state):
     _inherited = state
 
 
+@contextlib.contextmanager
 def _fork_map(workers, task, state, *iterables):
-    """``map(task, *iterables)`` in ``workers`` forked processes, results in order.
+    """The results of ``map(task, *iterables)``, in order, computed in
+    ``workers`` forked processes that live until the block ends.
 
     The workers inherit ``state`` (in ``_inherited``) through the fork, so
     nothing is pickled but the arguments and the results. A task that raises
-    re-raises here; a worker that dies raises ``BrokenExecutor``.
+    re-raises when its result is read; a worker that dies raises
+    ``BrokenExecutor``.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -122,7 +131,7 @@ def _fork_map(workers, task, state, *iterables):
         initializer=_inherit,
         initargs=(state,),
     ) as pool:
-        yield from pool.map(task, *iterables)
+        yield pool.map(task, *iterables)
 
 
 @contextlib.contextmanager
@@ -248,10 +257,12 @@ def _parse_in_workers(fh, start, tokens_of, bytes_per_value, count=None):
     """The body of ``fh`` from byte ``start`` on, parsed in forked workers into
     flat ``(values, observed)`` arrays; None when it must be read serially.
 
-    It is None when ``fh`` is not a regular file, when ``_fork_workers`` keeps
-    the job (``count`` values, or for CSV a value per two bytes) in the
-    calling process, and when any chunk fails: a bad token or byte, a wrong
-    CSV width, a worker that raises or dies. The caller then reads the body
+    It is None when ``fh`` is not a regular file, when ``_fork_workers``
+    keeps the job (a value per ``_BYTES_PER_VALUE`` bytes of body) in the
+    calling process, when the body is too short for the ``count`` values a
+    dense header promises, when its newline bytes do not cut it into at least
+    two chunks, and when any chunk fails: a bad token or byte, a wrong CSV
+    width, a worker that raises or dies. The caller then reads the body
     serially from the same position, and so raises each error as it always
     has. The parent cuts the body just past newline bytes, near even splits,
     so a chunk owns the lines that start in it and never splits a CRLF pair.
@@ -264,7 +275,10 @@ def _parse_in_workers(fh, start, tokens_of, bytes_per_value, count=None):
     stop = info.st_size
     if not stat.S_ISREG(info.st_mode) or stop <= start:
         return None
-    workers = _fork_workers((stop - start) // 2 if count is None else count, math.inf)
+    if count is not None and count > (stop - start) // bytes_per_value + 1:
+        # more values than the body can hold: the serial read names the shortfall
+        return None
+    workers = _fork_workers((stop - start) // _BYTES_PER_VALUE, math.inf)
     if workers < 2:
         return None
     chunks = _CHUNKS_PER_WORKER * workers
@@ -273,6 +287,9 @@ def _parse_in_workers(fh, start, tokens_of, bytes_per_value, count=None):
         split = start + (stop - start) * k // chunks - 1
         cuts.append(cuts[-1] if split < cuts[-1] else _after_newline(fd, split, stop))
     cuts.append(stop)
+    if sum(a < b for a, b in zip(cuts, cuts[1:])) < 2:
+        # a body with no newline bytes, or all of them near its end
+        return None
     slots = [0]
     for k in range(chunks):
         slots.append(slots[-1] + (cuts[k + 1] - cuts[k]) // bytes_per_value + 1)
@@ -284,7 +301,8 @@ def _parse_in_workers(fh, start, tokens_of, bytes_per_value, count=None):
     with shm:
         state = (fd, fh.name, cuts, shm, slots, tokens_of)
         try:
-            counts = list(_fork_map(workers, _parse_chunk, state, range(chunks)))
+            with _fork_map(workers, _parse_chunk, state, range(chunks)) as counts:
+                counts = list(counts)
         except Exception:
             # whatever failed, the serial read reports it with its line, or succeeds
             return None
@@ -383,8 +401,9 @@ def _write_slabs(fh, slabs, masks, sep):
         return
     chunks = min(len(slabs), _CHUNKS_PER_WORKER * workers)
     bounds = [len(slabs) * k // chunks for k in range(chunks + 1)]
-    for text in _fork_map(workers, _format_chunk, (slabs, masks, sep), bounds[:-1], bounds[1:]):
-        fh.write(text)
+    with _fork_map(workers, _format_chunk, (slabs, masks, sep), bounds[:-1], bounds[1:]) as texts:
+        for text in texts:
+            fh.write(text)
 
 
 @contextlib.contextmanager

@@ -10,8 +10,7 @@ iteration runs, in order:
    out mode-k first, so its unfolding is a view; ``x_k``, the fold of
    ``truncated_svt(unfold_k(z))``, a view of the SVT output; ``s += x_k`` and
    ``t[k] += rho * x_k``. Each ``x_k`` reads only the previous m and its own dual;
-2. ``update_m``: ``m_new = s / 3``, observed entries the old m's, which are the
-   input's, selected bit for bit through the work buffer;
+2. ``update_m``: ``m_new = s / 3``, observed entries overwritten with the input;
 3. the convergence ratio, with ``m_new - m_old`` in the old m buffer;
 4. ``update_t``: ``t[k] -= rho * m_new`` via that buffer, which becomes ``s``;
 5. the penalty schedule ``rho = min(rho_mult * rho, rho_max)``.
@@ -112,22 +111,10 @@ def update_x(s, work, m, t, rho, truncs):
         t[mode] += z
 
 
-def update_m(s, m, mask, work):
-    """Consensus average ``s / 3`` of the x tensors in place, observed entries
-    pinned to ``m``'s, which hold the input; ``work`` is a flat ``m.size`` buffer.
-
-    The entries are selected on their bits, ``s ^ ((s ^ m) & free)`` with
-    ``free`` all ones on the missing entries and zero on the observed ones, so
-    the result is ``np.where(mask, m, s / 3)`` exactly, signed zeros and
-    non-finite values included, without a masked copy.
-    """
+def update_m(s, y, mask):
+    """Consensus average ``s / 3`` of the x tensors in place, observed entries pinned to y."""
     s /= len(MODES)
-    free = work.view(np.uint64).reshape(m.shape)
-    np.subtract(mask, np.uint64(1), out=free)
-    bits, pinned = s.view(np.uint64), m.view(np.uint64)
-    bits ^= pinned
-    bits &= free
-    bits ^= pinned
+    np.copyto(s, y, where=mask)
 
 
 def update_t(t, m, rho, scratch):
@@ -175,7 +162,7 @@ def solve(y, mask, config):
     converged = False
     for it in range(1, config.max_iter + 1):
         update_x(s, work, m, t, rho, truncs)
-        update_m(s, m, mask, work)
+        update_m(s, y, mask)
         np.subtract(s, m, out=m)
         ratio = frobenius_norm(m) / obs_norm
         update_t(t, s, rho, m)

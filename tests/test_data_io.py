@@ -704,18 +704,25 @@ def test_parallel_loaders_match_per_token_oracle(text, case, cores, per_worker, 
     assert started in ([], [cores], [cores, cores]) if cores > 1 else started == []
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-@pytest.mark.parametrize("fmt", ["dense", "csv"])
-def test_large_file_is_parsed_in_workers_into_the_same_arrays(tmp_path, monkeypatch, fmt, newline):
-    # 132,000 values, just over the pool's threshold, on two usable cores
+def _large_file(tmp_path, fmt, newline):
+    """A file of 264,000 values, a body just over the pool's 4 MiB threshold,
+    with ``newline`` line ends; returns it with its loader, oracle and extra
+    arguments."""
     rng = np.random.default_rng(5)
-    tensor = rng.standard_normal((40, 30, 110)) * 100
+    tensor = rng.standard_normal((40, 60, 110)) * 100
     mask = rng.random(tensor.shape) < 0.9
     path = tmp_path / "t"
     save_tensor(path, np.where(mask, tensor, 0.0), mask, fmt=fmt)
     path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    assert 4 << 20 < path.stat().st_size < 5 << 20
     load, oracle, _ = _LOADERS[fmt == "csv"]
-    extra = (30, 110) if fmt == "csv" else ()
+    return path, load, oracle, (60, 110) if fmt == "csv" else ()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("fmt", ["dense", "csv"])
+def test_large_file_is_parsed_in_workers_into_the_same_arrays(tmp_path, monkeypatch, fmt, newline):
+    path, load, oracle, extra = _large_file(tmp_path, fmt, newline)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parsed = []
     real = data_io._parse_in_workers
@@ -723,6 +730,26 @@ def test_large_file_is_parsed_in_workers_into_the_same_arrays(tmp_path, monkeypa
     assert _outcome(load, path, *extra) == _outcome(oracle, path, *extra)
     # the arrays came from the workers, not from a hand-over to the serial read
     assert len(parsed) == 1 and parsed[0] is not None
+
+
+@pytest.mark.parametrize("fmt", ["dense", "csv"])
+def test_large_file_with_lone_cr_line_ends_starts_no_pool(tmp_path, monkeypatch, fmt):
+    # the body is cut only after newline bytes, so it would be one chunk
+    path, load, oracle, extra = _large_file(tmp_path, fmt, "\r")
+    attempts = _refuse_pool(monkeypatch)
+    assert _outcome(load, path, *extra) == _outcome(oracle, path, *extra)
+    assert attempts == []
+
+
+def test_dense_header_beyond_its_body_starts_no_pool(tmp_path, monkeypatch):
+    # 8,000 bytes cannot hold a million values; only the serial read can say so
+    path = tmp_path / "t.txt"
+    path.write_text("100 100 100\n" + "1.5 2.5\n" * 1000, encoding="utf-8")
+    attempts = _refuse_pool(monkeypatch)
+    outcome = _outcome(load_dense, path)
+    assert outcome == _outcome(_oracle_load_dense, path)
+    assert outcome[0] == "ParseError" and "expected 1000000 values, found 2000" in outcome[1]
+    assert attempts == []
 
 
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])

@@ -96,9 +96,8 @@ class TestStartState:
 
     def first_iteration(self, y, mask, cfg):
         t = np.zeros((3, *y.shape))
-        m = np.where(mask, y, 0.0)
-        s = run_update_x(m, t, cfg.rho0, truncs_for(y.shape, cfg.theta))
-        update_m(s, m, mask, np.full(y.size, np.nan))
+        s = run_update_x(np.where(mask, y, 0.0), t, cfg.rho0, truncs_for(y.shape, cfg.theta))
+        update_m(s, y, mask)
         return s
 
     def test_fully_observed(self):
@@ -180,15 +179,6 @@ class TestUpdateX:
         assert not np.array_equal(t_other[1] - 5.0, t[1])
 
 
-def run_update_m(s, y, mask):
-    """update_m with the previous m holding y on the observed entries and
-    junk elsewhere, and a work buffer it must overwrite."""
-    m = np.where(mask, y, -7.0)
-    update_m(s, m, mask, np.full(y.size, np.nan))
-    assert np.array_equal(m, np.where(mask, y, -7.0))
-    return s
-
-
 @st.composite
 def consensus_cases(draw):
     dims = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
@@ -204,12 +194,14 @@ class TestUpdateM:
     def test_average_of_identical_terms(self):
         y, mask = small_problem(seed=1)
         common = np.full(y.shape, 2.5)
-        s = run_update_m(common + common + common, y, mask)
+        s = common + common + common
+        update_m(s, y, mask)
         assert np.array_equal(s[~mask], common[~mask])
 
     def test_observed_entries_pinned(self):
         y, mask = small_problem(seed=2)
-        s = run_update_m(np.zeros(y.shape), y, mask)
+        s = np.zeros(y.shape)
+        update_m(s, y, mask)
         assert np.array_equal(s[mask], y[mask])
 
     @given(case=consensus_cases())
@@ -217,7 +209,8 @@ class TestUpdateM:
     def test_matches_masked_average_bit_for_bit(self, case):
         s, y, mask = case
         expected = np.where(mask, y, s / 3)
-        assert run_update_m(s, y, mask).tobytes() == expected.tobytes()
+        update_m(s, y, mask)
+        assert s.tobytes() == expected.tobytes()
 
 
 class TestUpdateT:
@@ -422,7 +415,7 @@ class TestSolveLoopInvariants:
         for _ in range(cfg.max_iter):
             t_prev, rho_prev = t.copy(), rho
             update_x(s, work, ms[-1], t, rho, truncs)
-            update_m(s, ms[-1], mask, work)
+            update_m(s, y, mask)
             ms.append(s.copy())
             update_t(t, ms[-1], rho, scratch)
             rho = min(cfg.rho_mult * rho, cfg.rho_max)
