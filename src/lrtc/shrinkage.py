@@ -12,17 +12,14 @@ step weights. It, ``svt`` (nothing kept) and ``weighted_svt`` (any weights)
 share one shrink-and-rebuild body. All kernels are pure functions; per-mode
 shrinkages within a solver iteration may run concurrently.
 
-Every kernel factors its input with ``thin_svd``, which has two routes. A
-matrix at least twice as wide as it is tall (after orienting it wide) is
-factored through the eigendecomposition of its Gram matrix ``A A^T``, which
-costs one matrix product plus a small symmetric eigenproblem instead of a
-LAPACK SVD of the whole matrix; every unfolding of a location x day x
-time-of-day tensor is of that kind. Forming the Gram matrix squares the
-condition number, so the route is guarded: it is taken only when the Gram
-spectrum shows a condition number below ``1 / GRAM_RCOND``; near-square,
-rank-deficient, zero and ill-conditioned matrices go to ``np.linalg.svd``.
-The kernels rebuild their output from the singular triplets whose shrunk
-value is nonzero only, so the cost of the rebuild scales with the rank kept.
+A matrix at least twice as wide as it is tall, or the reverse (every
+unfolding of a location x day x time-of-day tensor is), takes the Gram route:
+``thin_svd`` of the Cholesky factor of ``G = A A^T`` gives A's left singular
+vectors ``u`` and values ``sigma``, and ``X = u diag(shrunk / sigma) u^T A``;
+A's right factor is never formed. Forming ``G`` squares the condition number,
+so the route is taken only when ``G`` is finite, its Cholesky succeeds and
+``sigma[-1] > GRAM_RCOND * sigma[0]``; any other matrix is rebuilt from
+``thin_svd(A)``. The result has the memory order of the input.
 """
 
 import math
@@ -37,8 +34,8 @@ from .tensor_ops import _check_dims, _check_mode
 # so numerical noise cannot masquerade as rank.
 SIGMA_FLOOR = 1e-12
 
-# The Gram route of thin_svd is taken only when sigma_min / sigma_max of the
-# matrix exceeds this, which caps the condition number it accepts at 1e4.
+# The Gram route of the kernels is taken only when sigma_min / sigma_max of
+# the matrix exceeds this, which caps the condition number it accepts at 1e4.
 GRAM_RCOND = 1e-4
 
 # Products of theta with an integer bound are computed in floating point;
@@ -47,45 +44,18 @@ _CEIL_GUARD = 1e-9
 
 
 def thin_svd(matrix):
-    """Thin SVD ``(u, sigma, vt)`` with descending, floor-clamped sigma.
+    """Thin SVD ``(u, sigma, vt)`` by LAPACK, with descending, floor-clamped sigma.
 
-    The decomposition always runs on the orientation with rows <= cols
-    (transpose in, transpose out). When that orientation has at least twice
-    as many columns as rows, the factors come from the Gram matrix:
-    ``lam, u = eigh(A @ A.T)`` in descending order, ``sigma = sqrt(lam)`` and
-    ``vt = (u / sigma).T @ A``. The route is taken only when
-    ``lam_min > GRAM_RCOND**2 * lam_max > 0``, i.e. when the condition number
-    is below 1e4; otherwise, and for every other shape, ``np.linalg.svd``
-    runs. Under the guard each singular value is off by at most about
-    ``eps * kappa * sigma_max`` and the rows of ``vt`` are orthonormal to
-    about ``eps * kappa**2`` (2e-8 at the cap); ``u`` is orthonormal and
-    ``(u * sigma) @ vt`` reproduces the matrix to ``eps`` relative either way.
+    The kernels call it on the Cholesky factor of a Gram matrix or, off that
+    route, on the matrix itself; it is also their oracle.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got ndim={matrix.ndim}")
     if not np.isfinite(matrix).all():
         raise InvalidInputError("matrix contains non-finite entries")
-    m, n = matrix.shape
-    if m > n:
-        v, sigma, ut = _wide_svd(matrix.T)
-        u, vt = ut.T, v.T
-    else:
-        u, sigma, vt = _wide_svd(matrix)
-    sigma = np.where(sigma < SIGMA_FLOOR, 0.0, sigma)
-    return u, sigma, vt
-
-
-def _wide_svd(matrix):
-    """Thin SVD of a matrix with rows <= cols: the guarded Gram route, else LAPACK."""
-    rows, cols = matrix.shape
-    if 0 < 2 * rows <= cols:
-        lam, u = np.linalg.eigh(matrix @ matrix.T)
-        lam, u = lam[::-1], u[:, ::-1]
-        if lam[-1] > GRAM_RCOND**2 * lam[0] > 0:
-            sigma = np.sqrt(lam)
-            return u, sigma, (u / sigma).T @ matrix
-    return np.linalg.svd(matrix, full_matrices=False)
+    u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
+    return u, np.where(sigma < SIGMA_FLOOR, 0.0, sigma), vt
 
 
 def truncation_for_mode(dims, mode, theta):
@@ -120,7 +90,8 @@ def truncated_svt(matrix, trunc, tau):
     ``tau * ||X||_{trunc,*} + 0.5 * ||X - matrix||_F^2``. With repeated
     singular values at the truncation boundary the SVD ordering is not unique;
     shrinkage is applied to the stably sorted value sequence, so the output
-    spectrum is unique even though the factors may not be.
+    spectrum is unique even though the factors may not be. The result has
+    the memory order of ``matrix`` (Fortran in, Fortran out).
     """
     matrix = np.asarray(matrix, dtype=float)
     bound = min(matrix.shape)
@@ -170,9 +141,26 @@ def _shrink(matrix, weights, tau):
     """Every kernel's body: ``s_i -> max(s_i - tau * w_i, 0)`` on checked weights."""
     if not tau >= 0:  # written so that NaN fails too
         raise ConfigError(f"tau must be nonnegative, got {tau}")
-    u, sigma, vt = thin_svd(matrix)
+    if np.isfortran(matrix):  # the SVT of a transpose is the transpose of the SVT
+        return _shrink(matrix.T, weights, tau).T
     # a zero weight keeps its value even at tau = inf, where tau * 0 is NaN
     penalty = tau * weights if tau < math.inf else np.where(weights > 0, tau, 0.0)
+    tall = matrix.shape[0] > matrix.shape[1]
+    wide = matrix.T if tall else matrix
+    if 0 < 2 * wide.shape[0] <= wide.shape[1]:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow falls back below
+            gram = wide @ wide.T
+        if np.isfinite(gram).all():
+            try:
+                u, sigma, _ = thin_svd(np.linalg.cholesky(gram))
+            except np.linalg.LinAlgError:  # G not numerically positive definite
+                sigma = np.zeros(1)  # fails the guard
+            if sigma[-1] > GRAM_RCOND * sigma[0] > 0:
+                shrunk = np.maximum(sigma - penalty, 0.0)
+                k = np.count_nonzero(shrunk)
+                p = (u[:, :k] * (shrunk[:k] / sigma[:k])) @ u[:, :k].T
+                return matrix @ p if tall else p @ matrix
+    u, sigma, vt = thin_svd(matrix)
     shrunk = np.maximum(sigma - penalty, 0.0)
     k = np.count_nonzero(shrunk)  # shrunk is non-increasing: rebuild from its nonzeros
     return (u[:, :k] * shrunk[:k]) @ vt[:k]

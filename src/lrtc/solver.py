@@ -6,10 +6,11 @@ allocates its state once: the duals as one ``(3, n1, n2, n3)`` array, ``m``, a
 sum buffer ``s`` and a flat work buffer; no two ``x_k`` exist at once. Each
 iteration runs, in order:
 
-1. ``update_x``, per mode k: ``z = m - t[k] / rho`` into the work buffer laid
-   out mode-k first, so its unfolding is a view; ``x_k``, the fold of
-   ``truncated_svt(unfold_k(z))``, a view of the SVT output; ``s += x_k`` and
-   ``t[k] += rho * x_k``. Each ``x_k`` reads only the previous m and its own dual;
+1. ``update_x``, per mode k: ``z = m - t[k] / rho`` into the work buffer, in C
+   order for modes 0 and 2 (whose unfoldings are a C and a Fortran view) and
+   mode-1 first for mode 1; ``x_k``, the fold of ``truncated_svt(unfold_k(z))``,
+   a view of the SVT output in z's layout; ``s += x_k`` and ``t[k] += rho *
+   x_k``. Each ``x_k`` reads only the previous m and its own dual;
 2. ``update_m``: ``m_new = s / 3``, observed entries overwritten with the input;
 3. the convergence ratio, with ``m_new - m_old`` in the old m buffer;
 4. ``update_t``: ``t[k] -= rho * m_new`` via that buffer, which becomes ``s``;
@@ -101,7 +102,7 @@ def update_x(s, work, m, t, rho, truncs):
     tau = (1.0 / len(MODES)) / rho  # every mode weighs 1/3; update_m divides by the same count
     s.fill(0.0)
     for mode in MODES:
-        z = fold(work.reshape(m.shape[mode], -1), mode, m.shape)
+        z = fold(work.reshape(m.shape[1], -1), 1, m.shape) if mode == 1 else work.reshape(m.shape)
         np.divide(t[mode], rho, out=z)
         np.subtract(m, z, out=z)
         x_k = fold(truncated_svt(unfold(z, mode), truncs[mode], tau), mode, m.shape)
@@ -138,21 +139,22 @@ def solve(y, mask, config):
     -------
     SolverResult. Non-convergence within ``max_iter`` is reported via
     ``converged=False``, never raised. A penalty that overflows to infinity
-    (possible only with ``rho_max = inf``) raises ``ConfigError``.
+    (possible only with ``rho_max = inf``) raises ``ConfigError``; observed
+    entries whose norm overflows raise ``InvalidInputError``.
     """
     y, mask = _check_pair(y, mask)
     if not mask.any():
         raise DegenerateProblemError("no observed entries; nothing to complete")
-    observed = y[mask]
-    if not np.isfinite(observed).all():
+    m = np.where(mask, y, 0.0)
+    if not np.isfinite(m).all():
         raise InvalidInputError("observed entries contain non-finite values")
-    obs_norm = float(np.linalg.norm(observed))
-    del observed  # a copy of the input's size; the loop does not need it
+    obs_norm = frobenius_norm(m)
     if obs_norm == 0.0:
         raise DegenerateProblemError("observed entries have zero norm")
+    if obs_norm == math.inf:
+        raise InvalidInputError("the norm of the observed entries overflows")
 
     truncs = [truncation_for_mode(y.shape, mode, config.theta) for mode in MODES]
-    m = np.where(mask, y, 0.0)
     s = np.empty_like(m)
     work = np.empty(m.size)
     t = np.zeros((3, *y.shape))

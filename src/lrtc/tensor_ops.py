@@ -16,6 +16,10 @@ from .errors import DimensionError
 
 MODES = (0, 1, 2)
 
+# Per mode, the axis order that puts that mode first, and the order that undoes it.
+_FIRST = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+_BACK = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
+
 
 def _check_tensor3(tensor):
     tensor = np.asarray(tensor, dtype=float)
@@ -45,9 +49,9 @@ def unfold(tensor, mode):
     bijection leaves the singular values and the SVT result unchanged; this one
     round-trips exactly with :func:`fold`.
 
-    The result is a view where numpy can reshape without a copy (mode 0 of a
-    C-ordered tensor, any mode of a :func:`fold` result), else a copy. Never
-    write into an unfolding you do not own.
+    The result is a view where numpy can reshape without a copy (modes 0 and
+    2 of a C-ordered tensor, the latter in Fortran order, and any mode of a
+    :func:`fold` result), else a copy. Never write into one you do not own.
 
     Parameters
     ----------
@@ -61,14 +65,14 @@ def unfold(tensor, mode):
     """
     tensor = _check_tensor3(tensor)
     _check_mode(mode)
-    return np.moveaxis(tensor, mode, 0).reshape(tensor.shape[mode], -1)
+    return tensor.transpose(_FIRST[mode]).reshape(tensor.shape[mode], -1)
 
 
 def fold(matrix, mode, dims):
     """Exact inverse of :func:`unfold` for the same mode and dims.
 
-    For a C-contiguous float ``matrix``, such as an SVT result, the result is
-    a view of it, and so is its mode-``mode`` unfolding.
+    For a C- or Fortran-contiguous float ``matrix``, such as an SVT result,
+    the result is a view of it, and so is its mode-``mode`` unfolding.
 
     Parameters
     ----------
@@ -84,14 +88,14 @@ def fold(matrix, mode, dims):
     _check_mode(mode)
     matrix = np.asarray(matrix, dtype=float)
     dims = _check_dims(dims)
-    rest = [d for axis, d in enumerate(dims) if axis != mode]
-    expected = (dims[mode], int(np.prod(rest)))
+    rest = (dims[_FIRST[mode][1]], dims[_FIRST[mode][2]])
+    expected = (dims[mode], rest[0] * rest[1])
     if matrix.ndim != 2 or matrix.shape != expected:
         raise DimensionError(
             f"matrix shape {matrix.shape} inconsistent with mode {mode} of dims {dims}; "
             f"expected {expected}"
         )
-    return np.moveaxis(matrix.reshape(dims[mode], *rest), 0, mode)
+    return matrix.reshape(dims[mode], *rest).transpose(_BACK[mode])
 
 
 def _check_pair(tensor, mask):
@@ -106,6 +110,12 @@ def _check_pair(tensor, mask):
 
 
 def frobenius_norm(tensor):
-    """sqrt of the sum of squared entries; zero iff the tensor is zero."""
-    tensor = _check_tensor3(tensor)
-    return float(np.linalg.norm(tensor.ravel()))
+    """sqrt of the sum of squared entries: zero iff the tensor is zero, inf only if the norm is."""
+    flat = _check_tensor3(tensor).ravel()
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(flat))
+    if norm in (0.0, np.inf):  # the squares may all underflow, or their sum overflow
+        scale = float(np.abs(flat).max(initial=0.0))
+        if 0.0 < scale < np.inf:
+            norm = scale * float(np.linalg.norm(flat / scale))
+    return norm

@@ -1,16 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lrtc.shrinkage
 from lrtc import (
     ConfigError,
     DimensionError,
     InvalidInputError,
+    fold,
     svt,
     thin_svd,
     truncated_svt,
     truncation_for_mode,
+    unfold,
     weighted_svt,
 )
 
@@ -78,32 +83,33 @@ class TestThinSvd:
         rows=st.integers(1, 12),
         excess=st.sampled_from([-1, 0, 1, 5, 40]),
         tall=st.booleans(),
+        fortran=st.booleans(),
         kind=st.sampled_from(["random", "rank_deficient", "repeated", "zero"]),
         seed=st.integers(0, 2**32 - 1),
         trunc_frac=st.floats(0.0, 1.0, exclude_max=True),
         tau_frac=st.floats(0.0, 1.2),
     )
-    @example(rows=12, excess=0, tall=False, kind="random", seed=0, trunc_frac=0.0, tau_frac=0.3)
-    @example(rows=12, excess=-1, tall=True, kind="repeated", seed=1, trunc_frac=0.5, tau_frac=0.6)
-    @example(rows=6, excess=0, tall=False, kind="rank_deficient", seed=2, trunc_frac=0.2, tau_frac=0.1)
-    @example(rows=5, excess=40, tall=True, kind="zero", seed=3, trunc_frac=0.0, tau_frac=0.5)
+    @example(rows=12, excess=0, tall=False, fortran=False, kind="random", seed=0, trunc_frac=0.0, tau_frac=0.3)
+    @example(rows=12, excess=-1, tall=True, fortran=False, kind="repeated", seed=1, trunc_frac=0.5, tau_frac=0.6)
+    @example(rows=6, excess=0, tall=False, fortran=True, kind="rank_deficient", seed=2, trunc_frac=0.2, tau_frac=0.1)
+    @example(rows=5, excess=40, tall=True, fortran=True, kind="zero", seed=3, trunc_frac=0.0, tau_frac=0.5)
+    @example(rows=7, excess=5, tall=False, fortran=True, kind="random", seed=4, trunc_frac=0.3, tau_frac=0.2)
     @settings(max_examples=300, deadline=None)
     def test_matches_lapack_on_both_routes(
-        self, rows, excess, tall, kind, seed, trunc_frac, tau_frac
+        self, rows, excess, tall, fortran, kind, seed, trunc_frac, tau_frac
     ):
         # cols = 2 * rows + excess puts the matrix on either side of the
-        # Gram route's 2:1 boundary; tall matrices are routed transposed
+        # Gram route's 2:1 boundary; tall matrices take it transposed, and a
+        # Fortran-ordered input (a transposed view) is shrunk as its transpose
         shape = (rows, max(1, 2 * rows + excess))
         if tall:
             shape = shape[::-1]
         p = min(shape)
         sigma_in = spectrum(kind, p, np.random.default_rng(seed))
         a = with_spectrum(*shape, sigma_in, seed)
-        u, sigma, vt = thin_svd(a)
-        factor_invariants(a, u, sigma, vt)
-
+        if fortran:
+            a = np.ascontiguousarray(a.T).T
         u_ref, sigma_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
-        assert np.all(np.abs(sigma - sigma_ref) <= 1e-9 * sigma_ref[0])
 
         # a truncation inside a cluster of equal singular values leaves the
         # output basis-dependent, so start it at the cluster's first value
@@ -127,18 +133,17 @@ class TestThinSvd:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         sigma = np.logspace(0, -6, 40)
         a = with_spectrum(40, 400, sigma, seed=31)
-        u, s, vt = thin_svd(a)
-        assert calls == [(40, 400)]
-        assert np.allclose(vt @ vt.T, np.eye(40), rtol=0, atol=1e-12)
-        factor_invariants(a, u, s, vt)
+        out = truncated_svt(a, 3, 1e-4)
+        # the Cholesky factor may or may not exist; the matrix's own SVD comes last
+        assert calls[-1] == (40, 400) and set(calls[:-1]) <= {(40, 40)}
+        assert np.array_equal(out, formula_svt(a, 3, 1e-4))
 
         calls.clear()
         sigma = np.logspace(0, -3, 40)
         a = with_spectrum(40, 400, sigma, seed=32)
-        u, s, vt = thin_svd(a)
-        assert calls == []
-        factor_invariants(a, u, s, vt)
-        assert np.all(np.abs(s - sigma) <= 1e-9 * sigma[0])
+        out = truncated_svt(a, 3, 1e-2)
+        assert calls == [(40, 40)]
+        assert np.linalg.norm(out - formula_svt(a, 3, 1e-2)) <= 1e-9 * np.linalg.norm(a)
 
 
 class TestTruncationForMode:
@@ -222,12 +227,33 @@ class TestTruncatedSvt:
     @example(rows=5, cols=5, kind="rank_deficient", seed=2, trunc_frac=0.0, tau=0.0)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_formula_bit_for_bit(self, rows, cols, kind, seed, trunc_frac, tau):
-        # both orientations and both thin_svd routes; tau = inf shrinks all
-        # but the kept values to zero
+        # both orientations on the LAPACK route, which this guard forces (the
+        # Gram route builds no right factor, so test_matches_lapack_on_both_routes
+        # checks it to a tolerance); tau = inf shrinks all but the kept values to zero
         p = min(rows, cols)
         z = with_spectrum(rows, cols, spectrum(kind, p, np.random.default_rng(seed)), seed)
         trunc = int(trunc_frac * p)
-        assert np.array_equal(truncated_svt(z, trunc, tau), formula_svt(z, trunc, tau))
+        with mock.patch.object(lrtc.shrinkage, "GRAM_RCOND", 2.0):
+            assert np.array_equal(truncated_svt(z, trunc, tau), formula_svt(z, trunc, tau))
+
+    @pytest.mark.parametrize("rcond", [lrtc.shrinkage.GRAM_RCOND, 2.0])
+    def test_keeps_the_memory_order(self, monkeypatch, rcond):
+        # on both routes; a C-ordered tensor unfolds along mode 2 to a Fortran
+        # view, whose SVT then folds back to a C-ordered tensor
+        monkeypatch.setattr(lrtc.shrinkage, "GRAM_RCOND", rcond)
+        rng = np.random.default_rng(25)
+        dims = (6, 5, 12)
+        z = rng.standard_normal(dims)
+        f = unfold(z, 2)
+        assert np.isfortran(f)
+        out = truncated_svt(f, 2, 0.5)
+        assert np.isfortran(out)
+        x = fold(out, 2, dims)
+        assert x.flags.c_contiguous
+        expected = fold(truncated_svt(np.ascontiguousarray(f), 2, 0.5), 2, dims)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        for a in (z[0], z[0].T):
+            assert np.isfortran(truncated_svt(a, 1, 0.5)) == np.isfortran(a)
 
     @pytest.mark.parametrize("shape", [(5, 8), (8, 5)])
     @pytest.mark.parametrize("trunc", [0, 1, 2])

@@ -310,6 +310,23 @@ class TestSolve:
         with pytest.raises(InvalidInputError):
             solve(y, mask, SolverConfig(theta=0.1))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_gram_overflow_falls_back(self, scale):
+        # every Gram matrix overflows at these scales, though the data is finite
+        y = synth_lowrank((30, 20, 40), 3, value_offset=10.0, seed=19) * scale
+        mask = generate_rm_mask(y.shape, 0.4, seed=519)
+        result = solve(y, mask, SolverConfig(theta=0.1))
+        assert np.isfinite(result.recovered).all()
+        assert np.array_equal(result.recovered[mask], y[mask])
+
+    def test_overflowing_observed_norm(self):
+        # finite entries up to 2.5e307 whose norm exceeds the float range
+        y = synth_lowrank((30, 20, 40), 3, value_offset=10.0, seed=19) * 1e306
+        mask = generate_rm_mask(y.shape, 0.4, seed=519)
+        assert np.isfinite(y).all()
+        with pytest.raises(InvalidInputError, match="norm of the observed entries overflows"):
+            solve(y, mask, SolverConfig(theta=0.1))
+
     def test_rho_overflow_is_config_error(self):
         # 1e-5 * 1e300 = 1e295, then inf: the second step overflows
         y, mask = small_problem(seed=10)
@@ -350,7 +367,7 @@ def reference_solve(y, mask, cfg):
     m = np.where(mask, y, 0.0)
     t = [np.zeros_like(m) for _ in range(3)]
     rho = cfg.rho0
-    obs_norm = float(np.linalg.norm(y[mask]))
+    obs_norm = frobenius_norm(m)
     trace, rho_trace = [], []
     for _ in range(cfg.max_iter):
         x = [mode_step(m, t[k], rho, k, truncs[k]) for k in range(3)]
@@ -410,7 +427,7 @@ class TestSolveLoopInvariants:
         s, work, scratch = np.empty_like(y), np.empty(y.size), np.empty_like(y)
         t = np.zeros((3, *y.shape))
         rho = cfg.rho0
-        obs_norm = float(np.linalg.norm(y[mask]))
+        obs_norm = frobenius_norm(ms[0])
         trace, dual_sums = [], []
         for _ in range(cfg.max_iter):
             t_prev, rho_prev = t.copy(), rho
@@ -476,7 +493,7 @@ class TestSolveLoopInvariants:
 
 def test_peak_memory_of_a_solve():
     # the duals, m, the x sum and the work buffer (which the SVT reads as a
-    # view) are six tensors; the SVT's right factor and output add two more
+    # view) are six tensors; the SVT output adds one more
     y = synth_lowrank((30, 20, 40), 3, value_offset=10.0, seed=19)
     mask = generate_rm_mask(y.shape, 0.4, seed=519)
     cfg = SolverConfig(theta=0.1, max_iter=20)
@@ -488,20 +505,7 @@ def test_peak_memory_of_a_solve():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start <= 9 * y.nbytes
-
-
-def lapack_thin_svd(matrix):
-    """thin_svd through LAPACK alone: the oracle for its Gram route."""
-    matrix = np.asarray(matrix, dtype=float)
-    m, n = matrix.shape
-    if m > n:
-        u, sigma, vt = np.linalg.svd(matrix.T, full_matrices=False)
-        u, vt = vt.T, u.T
-    else:
-        u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
-    sigma = np.where(sigma < lrtc.shrinkage.SIGMA_FLOOR, 0.0, sigma)
-    return u, sigma, vt
+    assert peak - start <= 8 * y.nbytes
 
 
 def test_answer_does_not_depend_on_svd_route(monkeypatch):
@@ -514,15 +518,29 @@ def test_answer_does_not_depend_on_svd_route(monkeypatch):
         for pattern in (generate_rm_mask, generate_nm_mask)
         for cfg in configs
     ]
-    # mode 0 of a tall tensor unfolds to 60x12, which thin_svd transposes
+    # mode 0 of a tall tensor unfolds to 60x12, which the kernel takes transposed
     tall, _ = small_problem(seed=18, dims=(60, 3, 4), rank=3)
     cases += [
         (tall, pattern(tall.shape, 0.4, seed=518), cfg)
         for pattern in (generate_rm_mask, generate_nm_mask)
         for cfg in configs[1:]
     ]
-    results = [solve(*case) for case in cases]
-    monkeypatch.setattr(lrtc.shrinkage, "thin_svd", lapack_thin_svd)
+    # on the Gram route thin_svd sees only the square Cholesky factors
+    shapes = []
+    thin_svd = lrtc.shrinkage.thin_svd
+    monkeypatch.setattr(lrtc.shrinkage, "thin_svd", lambda a: shapes.append(a.shape) or thin_svd(a))
+    results = []
+    for case in cases:
+        shapes.clear()
+        results.append(solve(*case))
+        if case[0] is y:
+            # modes 0 and 1 take the Gram route every time, and so does mode 2
+            # unless whole missing fibers leave its unfolding low rank (NM masks)
+            counts = [shapes.count((n, n)) for n in y.shape]
+            gram_modes = 3 if case[1].any(axis=2).all() else 2
+            assert counts[:gram_modes] == [results[-1].iterations] * gram_modes
+    # no condition number passes this guard: every SVT runs LAPACK on its unfolding
+    monkeypatch.setattr(lrtc.shrinkage, "GRAM_RCOND", 2.0)
     for (y, mask, cfg), result in zip(cases, results):
         oracle = solve(y, mask, cfg)
         assert (result.iterations, result.converged) == (oracle.iterations, oracle.converged)

@@ -88,9 +88,12 @@ class TestFold:
     def test_fold_is_a_view_that_unfolds_to_a_view(self):
         rng = np.random.default_rng(3)
         dims = (3, 4, 5)
-        # a C-ordered tensor is mode-0 first, so its mode-0 unfolding is a view
+        # a C-ordered tensor is mode-0 first, so its mode-0 unfolding is a
+        # view; its mode-2 unfolding is a Fortran-ordered view
         x = rng.standard_normal(dims)
         assert np.shares_memory(unfold(x, 0), x)
+        assert np.shares_memory(unfold(x, 2), x) and np.isfortran(unfold(x, 2))
+        assert fold(np.asfortranarray(unfold(x, 2)), 2, dims).flags.c_contiguous
         for mode in (0, 1, 2):
             matrix = rng.standard_normal((dims[mode], 60 // dims[mode]))
             tensor = fold(matrix, mode, dims)
@@ -123,6 +126,16 @@ class TestFrobeniusNorm:
     def test_hand_computed(self):
         # sqrt(9 + 16) = 5
         assert frobenius_norm(np.array([3.0, 4.0]).reshape(2, 1, 1)) == 5.0
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200, 1e306])
+    def test_squares_out_of_range(self, scale):
+        # the squares underflow to zero or the sum of squares overflows
+        x = np.array([3.0, 4.0]).reshape(2, 1, 1) * scale
+        assert frobenius_norm(x) == pytest.approx(5.0 * scale, rel=1e-15)
+
+    def test_infinite_only_when_the_norm_is(self):
+        assert frobenius_norm(np.full((2, 2, 2), 1e308)) == np.inf
+        assert frobenius_norm(np.array([[[np.inf, 1.0]]])) == np.inf
 
     def test_matches_unfolding_norms(self):
         rng = np.random.default_rng(7)
