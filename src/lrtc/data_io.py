@@ -21,26 +21,20 @@ infinities and values that overflow to infinity are rejected with a
 entry they write as a number, and write each value as the ``repr`` of a
 Python float, the shortest text that reads back to the same double.
 
-Files are read as UTF-8 and parsed a line at a time; a byte that is not UTF-8
-is a parse error naming the file but no line. A large job runs on every core
-the process may use, in forked worker processes (``_fork_workers`` holds the
-rule): a tensor of at least ``2**17`` values is formatted there, and the body
-of a regular file of at least 4 MiB is parsed there. Smaller jobs, FIFOs, and
-every job on a platform other than Linux, on one core or while another Python
-thread is alive, run in the calling process. Neither route changes a result:
-the bytes written do not depend on the core count, and the workers' arrays are
-those the serial read returns. A chunk that fails to parse, for any reason,
-sends the whole body back to the serial read, which raises every error as it
-always has.
+Files are read as UTF-8; a byte that is not UTF-8 is a parse error naming
+the file but no line. A loader reads the body of a regular file with numpy's
+C parser, in the calling process. On any doubt (see ``_read_table``) it seeks
+back, and the line parser reads the body a line at a time and raises every
+error with its ``path:line:column``. Both routes give the same arrays.
 
-A serial loader's flat arrays start empty and at least double, in place, as
+The line parser's flat arrays start empty and at least double, in place, as
 they fill: up to the header's count for dense, trimmed to the rows read for
 CSV. So a header or (days, intervals) pair that promises more values than the
-file holds allocates no more than the file fills, and is a parse error. The
-workers parse into anonymous shared memory mapped before they fork, one slot
-per chunk with room for as many values as its bytes can hold; only the pages
-they fill are ever committed, and the parent copies those into the arrays it
-returns, and unmaps the slots.
+file holds allocates no more than the file fills, and is a parse error.
+
+A large tensor is formatted in forked worker processes on every core the
+process may use, when ``_fork_workers`` allows; the bytes written do not
+depend on the route or the core count.
 
 A save writes a temporary file beside its target and renames it over the
 target only once every line is written, so a failed save leaves the previous
@@ -56,11 +50,11 @@ import contextlib
 import functools
 import itertools
 import math
-import mmap
 import os
 import stat
 import sys
 import threading
+import warnings
 from concurrent.futures import BrokenExecutor
 
 import numpy as np
@@ -73,28 +67,28 @@ FORMATS = ("dense", "csv")
 
 # Capacity, in values, of a loader's arrays once its first row arrives.
 _START_VALUES = 1 << 16
-# Below this many values a job runs in the calling process: pool start-up and
-# teardown (about 10 ms) cost as much as formatting or parsing 10k values.
+# Below this many values a save runs in the calling process: pool start-up
+# and teardown (about 10 ms) cost as much as formatting 10k values.
 _PARALLEL_MIN_VALUES = 2**17
-# A read counts one value of work per this many bytes of its body, so a body
-# of 4 MiB or more is parsed in workers. Parse time follows the bytes: 30-35 ns
-# a byte for dense and 22-38 for CSV on one core of a 2-core x86 host, where
-# two workers lost to the serial read at 2.3 MB and won (dense) or broke even
-# (CSV) at 4.2-4.6 MB, after their start-up, module imports and gather.
-_BYTES_PER_VALUE = 32
 # More chunks than workers, so that a worker that finishes early takes
 # another, and the writer writes early chunks while the workers format later
 # ones.
 _CHUNKS_PER_WORKER = 4
 # The state a forked worker inherits from the job that started it.
 _inherited = None
+# A dense body of more bytes than this per value its header promises goes to
+# the line parser, which stops one value past the count: the ``repr`` of a
+# double is at most 24 characters, plus a separator.
+_REPR_BYTES = 25
+# Bytes the signed-NaN scan reads at a time.
+_SCAN_BYTES = 1 << 16
 
 
 def _fork_workers(values, most):
     """How many forked worker processes a job of ``values`` values, cut into
     at most ``most`` chunks, runs on; below 2 it runs in the calling process.
 
-    The one home of the rule for both reads and writes: a job of at least
+    The one home of the rule, which saves follow: a job of at least
     ``_PARALLEL_MIN_VALUES`` values, on Linux, while no other Python thread is
     alive (forking one is unsafe), gets ``min(usable cores, most)`` workers.
     """
@@ -178,135 +172,86 @@ def _parse_row(tokens, path, line_no):
             raise ParseError(f"{path}:{line_no}:{col_no}: non-finite value {token!r} is not allowed")
 
 
-def _store(values, observed, pos, tokens, path, line_no, cap):
-    """Parse one line's ``tokens`` into ``values`` and ``observed`` from ``pos``
-    on, and return the position after them; passing ``cap`` values is an error.
+def _parse_lines(lines, tokens_of, path, line_no, cap):
+    """Each line's ``tokens_of(line, path, line_no)``, numbering the lines from
+    ``line_no``, parsed into flat ``(values, observed)`` arrays; return them
+    and the last line's number (``line_no - 1`` when there are none). Passing
+    ``cap`` values is an error.
 
-    Both arrays grow in place when full, at least doubling from
-    ``_START_VALUES``. ``refcheck=False`` is safe because a loader takes no
-    view of them before its last line is stored.
+    Both arrays start empty, grow in place when full, at least doubling from
+    ``_START_VALUES``, and are trimmed to the values read. ``refcheck=False``
+    is safe because no view of them is taken before they are returned.
     """
-    end = pos + len(tokens)
-    if end > cap:
-        # tokens ahead of the overflow column are still checked first
-        _parse_row(tokens[: cap - pos], path, line_no)
-        raise ParseError(f"{path}:{line_no}:{cap - pos + 1}: more than {cap} values in file")
-    if end > len(values):
-        size = min(max(end, 2 * len(values), _START_VALUES), cap)
-        values.resize(size, refcheck=False)
-        observed.resize(size, refcheck=False)
-    values[pos:end], missing = _parse_row(tokens, path, line_no)
-    observed[pos:end] = ~missing
-    return end
-
-
-def _store_lines(lines, tokens_of, values, observed, pos, path, line_no, cap):
-    """``_store`` each line's ``tokens_of(line, path, line_no)``, numbering the
-    lines from ``line_no``; return the position after them and the last line's
-    number (``line_no - 1`` when there are none)."""
-    line_no -= 1
+    values, observed = np.empty(0), np.empty(0, dtype=bool)
+    pos, line_no = 0, line_no - 1
     for line_no, line in enumerate(lines, start=line_no + 1):
-        pos = _store(values, observed, pos, tokens_of(line, path, line_no), path, line_no, cap)
-    return pos, line_no
+        tokens = tokens_of(line, path, line_no)
+        end = pos + len(tokens)
+        if end > cap:
+            # tokens ahead of the overflow column are still checked first
+            _parse_row(tokens[: cap - pos], path, line_no)
+            raise ParseError(f"{path}:{line_no}:{cap - pos + 1}: more than {cap} values in file")
+        if end > len(values):
+            size = min(max(end, 2 * len(values), _START_VALUES), cap)
+            values.resize(size, refcheck=False)
+            observed.resize(size, refcheck=False)
+        values[pos:end], missing = _parse_row(tokens, path, line_no)
+        observed[pos:end] = ~missing
+        pos = end
+    values.resize(pos, refcheck=False)
+    observed.resize(pos, refcheck=False)
+    return values, observed, line_no
 
 
-def _after_newline(fd, pos, stop):
-    """The offset just past the first newline byte in ``[pos, stop)`` of ``fd``, else ``stop``."""
-    while pos < stop:
-        block = os.pread(fd, min(1 << 16, stop - pos), pos)
-        if not block:
-            break
-        found = block.find(b"\n")
-        if found >= 0:
-            return pos + found + 1
-        pos += len(block)
-    return stop
+def _signed_nan(fd):
+    """True when the file ``fd`` holds ``+nan`` or ``-nan`` in any letter case.
 
-
-def _parse_chunk(k):
-    """Parse chunk ``k`` of the inherited job into its slot; return its value count.
-
-    The chunk is read with ``pread`` through the parent's descriptor, so it
-    comes from the file the parent read the header from. Its lines end where
-    the text reader ends them: at a newline, a carriage return or the pair.
-    ``str.splitlines`` would also end them at other characters, such as
-    ``\\x85``, that the text reader keeps inside a line.
+    It is read ``_SCAN_BYTES`` at a time, and a block with no sign byte is
+    skipped. A match is four bytes long, so the last three bytes of a block
+    are carried into the next, where a match across the edge is found.
     """
-    fd, path, cuts, shm, slots, tokens_of = _inherited
-    start, stop = cuts[k], cuts[k + 1]
-    data = os.pread(fd, stop - start, start)
-    if len(data) != stop - start:
-        raise EOFError(f"{path} shrank while it was read")
-    lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    room = slots[k + 1] - slots[k]
-    values = np.frombuffer(shm, float, room, 8 * slots[k])
-    observed = np.frombuffer(shm, bool, room, 8 * slots[-1] + slots[k])
-    return _store_lines(lines, tokens_of, values, observed, 0, path, 1, room)[0]
+    pos, tail = 0, b""
+    while block := os.pread(fd, _SCAN_BYTES, pos):
+        pos += len(block)
+        block = tail + block
+        if b"+" in block or b"-" in block:
+            low = block.lower()
+            if b"+nan" in low or b"-nan" in low:
+                return True
+        tail = block[-3:]
+    return False
 
 
-def _gather(shm, slots, counts):
-    """The filled start of every slot, joined into new flat arrays."""
-    values = np.frombuffer(shm, float, slots[-1])
-    observed = np.frombuffer(shm, bool, slots[-1], 8 * slots[-1])
-    return tuple(
-        np.concatenate([a[s : s + n] for s, n in zip(slots, counts)]) for a in (values, observed)
-    )
+def _read_table(fh, head, delimiter, fits):
+    """The lines ``head``, then the rest of ``fh``, read by numpy's C parser
+    into flat ``(values, observed)`` arrays; None, with ``fh`` back where it
+    was, when the line parser must read them.
 
-
-def _parse_in_workers(fh, start, tokens_of, bytes_per_value, count=None):
-    """The body of ``fh`` from byte ``start`` on, parsed in forked workers into
-    flat ``(values, observed)`` arrays; None when it must be read serially.
-
-    It is None when ``fh`` is not a regular file, when ``_fork_workers``
-    keeps the job (a value per ``_BYTES_PER_VALUE`` bytes of body) in the
-    calling process, when the body is too short for the ``count`` values a
-    dense header promises, when its newline bytes do not cut it into at least
-    two chunks, and when any chunk fails: a bad token or byte, a wrong CSV
-    width, a worker that raises or dies. The caller then reads the body
-    serially from the same position, and so raises each error as it always
-    has. The parent cuts the body just past newline bytes, near even splits,
-    so a chunk owns the lines that start in it and never splits a CRLF pair.
-    A chunk of ``b`` bytes holds at most ``b // bytes_per_value + 1`` values,
-    since a value and its separator take at least ``bytes_per_value`` bytes;
-    that is the size of its slot in the shared memory.
+    The C parser reads the tokens Python ``float`` reads to the same doubles,
+    except ``1_000`` and non-ASCII digits, on which it raises as on any bad
+    token, byte or ragged table; and it reads ``+nan``/``-nan`` as NaN. So it
+    is None for a file that is not regular (a FIFO cannot be read twice), when
+    the parser raises, when ``fits(table)`` is false, for an infinite value,
+    and when the bytes ``+nan`` or ``-nan`` are anywhere in the file.
     """
     fd = fh.fileno()
-    info = os.fstat(fd)
-    stop = info.st_size
-    if not stat.S_ISREG(info.st_mode) or stop <= start:
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
         return None
-    if count is not None and count > (stop - start) // bytes_per_value + 1:
-        # more values than the body can hold: the serial read names the shortfall
-        return None
-    workers = _fork_workers((stop - start) // _BYTES_PER_VALUE, math.inf)
-    if workers < 2:
-        return None
-    chunks = _CHUNKS_PER_WORKER * workers
-    cuts = [start]
-    for k in range(1, chunks):
-        split = start + (stop - start) * k // chunks - 1
-        cuts.append(cuts[-1] if split < cuts[-1] else _after_newline(fd, split, stop))
-    cuts.append(stop)
-    if sum(a < b for a, b in zip(cuts, cuts[1:])) < 2:
-        # a body with no newline bytes, or all of them near its end
-        return None
-    slots = [0]
-    for k in range(chunks):
-        slots.append(slots[-1] + (cuts[k + 1] - cuts[k]) // bytes_per_value + 1)
+    mark = fh.tell()
     try:
-        # anonymous and shared: written by the workers, committed only where written
-        shm = mmap.mmap(-1, 9 * slots[-1])
-    except OSError:
-        return None
-    with shm:
-        state = (fd, fh.name, cuts, shm, slots, tokens_of)
-        try:
-            with _fork_map(workers, _parse_chunk, state, range(chunks)) as counts:
-                counts = list(counts)
-        except Exception:
-            # whatever failed, the serial read reports it with its line, or succeeds
-            return None
-        return _gather(shm, slots, counts)
+        with warnings.catch_warnings():
+            # an empty body; the line parser says what is missing
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(itertools.chain(head, fh), delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if table is not None and fits(table) and not np.isinf(table).any():
+        missing = np.isnan(table)
+        if not (missing.any() and _signed_nan(fd)):
+            table[missing] = 0.0
+            return table.ravel(), ~missing.ravel()
+    fh.seek(mark)
+    return None
 
 
 def _dense_tokens(line, path, line_no):
@@ -336,14 +281,15 @@ def load_dense(path):
                 raise ParseError(f"{path}:1:{col_no}: dimensions must be positive, got {d}")
             dims.append(d)
         count = math.prod(dims)
-        flat = _parse_in_workers(fh, len(first.encode()), _dense_tokens, 2, count)
-        if flat is not None and len(flat[0]) == count:
+        flat = None
+        if os.fstat(fh.fileno()).st_size - len(first.encode()) <= _REPR_BYTES * count:
+            flat = _read_table(fh, [], None, lambda table: table.size == count)
+        if flat is not None:
             values, observed = flat
         else:
-            values, observed = np.empty(0), np.empty(0, dtype=bool)
-            pos, line_no = _store_lines(fh, _dense_tokens, values, observed, 0, path, 2, count)
-            if pos != count:
-                raise ParseError(f"{path}:{line_no}: expected {count} values, found {pos}")
+            values, observed, line_no = _parse_lines(fh, _dense_tokens, path, 2, count)
+            if len(values) != count:
+                raise ParseError(f"{path}:{line_no}: expected {count} values, found {len(values)}")
     return values.reshape(dims), observed.reshape(dims)
 
 
@@ -494,23 +440,16 @@ def load_matrix_csv(path, days, intervals):
     tokens_of = functools.partial(_csv_tokens, width)
     with _utf8_text(path) as fh:
         # only the first non-blank line may be a header
-        start, line_no, line = 0, 0, ""
+        line_no, line = 0, ""
         for line in iter(fh.readline, ""):
             line_no += 1
             if line.strip():
                 break
-            start += len(line.encode())
         header = line_no if line.strip() and _looks_like_header(line.split(",")) else 0
-        if header:
-            start += len(line.encode())
-        flat = _parse_in_workers(fh, start, tokens_of, 1)
+        head, first_no = ([], line_no + 1) if header else ([line], line_no)
+        flat = _read_table(fh, head, ",", lambda table: table.shape[1] == width)
         if flat is None:
-            values, observed = np.empty(0), np.empty(0, dtype=bool)
-            lines, first_no = (fh, line_no + 1) if header else (itertools.chain([line], fh), line_no)
-            pos, _ = _store_lines(lines, tokens_of, values, observed, 0, path, first_no, math.inf)
-            values.resize(pos, refcheck=False)
-            observed.resize(pos, refcheck=False)
-            flat = values, observed
+            flat = _parse_lines(itertools.chain(head, fh), tokens_of, path, first_no, math.inf)[:2]
     values, observed = flat
     if not len(values):
         raise ParseError(
