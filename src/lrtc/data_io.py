@@ -23,9 +23,10 @@ Python float, the shortest text that reads back to the same double.
 
 Files are read as UTF-8; a byte that is not UTF-8 is a parse error naming
 the file but no line. A loader reads the body of a regular file with numpy's
-C parser, in the calling process. On any doubt (see ``_read_table``) it seeks
-back, and the line parser reads the body a line at a time and raises every
-error with its ``path:line:column``. Both routes give the same arrays.
+C parser: in forked worker processes, one run of whole lines each, when
+``_fork_workers`` allows, else in the calling process. On any doubt (see
+``_read_table``) the line parser reads the body a line at a time and raises
+every error with its ``path:line:column``. Every route gives the same arrays.
 
 The line parser's flat arrays start empty and at least double, in place, as
 they fill: up to the header's count for dense, trimmed to the rows read for
@@ -49,6 +50,7 @@ exactly as it reads the flag the key names.
 import contextlib
 import functools
 import itertools
+import io
 import math
 import os
 import stat
@@ -67,8 +69,8 @@ FORMATS = ("dense", "csv")
 
 # Capacity, in values, of a loader's arrays once its first row arrives.
 _START_VALUES = 1 << 16
-# Below this many values a save runs in the calling process: pool start-up
-# and teardown (about 10 ms) cost as much as formatting 10k values.
+# Below this many values a load or save runs in the calling process: pool
+# start-up and teardown (about 10 ms) cost as much as formatting 10k values.
 _PARALLEL_MIN_VALUES = 2**17
 # More chunks than workers, so that a worker that finishes early takes
 # another, and the writer writes early chunks while the workers format later
@@ -88,7 +90,7 @@ def _fork_workers(values, most):
     """How many forked worker processes a job of ``values`` values, cut into
     at most ``most`` chunks, runs on; below 2 it runs in the calling process.
 
-    The one home of the rule, which saves follow: a job of at least
+    The one home of the rule, which loads and saves follow: a job of at least
     ``_PARALLEL_MIN_VALUES`` values, on Linux, while no other Python thread is
     alive (forking one is unsafe), gets ``min(usable cores, most)`` workers.
     """
@@ -222,10 +224,58 @@ def _signed_nan(fd):
     return False
 
 
-def _read_table(fh, head, delimiter, fits):
+def _c_table(lines, delimiter):
+    """numpy's C parser over ``lines``, as both routes of ``_read_table`` call it."""
+    with warnings.catch_warnings():
+        # an empty body; the line parser says what is missing
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+
+
+def _after_newline(fd, pos, stop):
+    """The offset just past the first ``\\n`` byte in ``[pos, stop)`` of ``fd``, else ``stop``."""
+    while block := os.pread(fd, min(_SCAN_BYTES, stop - pos), pos):
+        if (found := block.find(b"\n")) >= 0:
+            return pos + found + 1
+        pos += len(block)
+    return stop
+
+
+def _run_table(fd, delimiter, start, stop):
+    """The C parser's table of the whole lines in bytes ``[start, stop)`` of
+    ``fd``, decoded and split as ``_utf8_text`` reads them."""
+    run = io.BytesIO(os.pread(fd, stop - start, start))
+    return _c_table(io.TextIOWrapper(run, encoding="utf-8", newline=""), delimiter)
+
+
+def _table_in_workers(fd, start, stop, delimiter):
+    """The C parser's table of bytes ``[start, stop)`` of ``fd``, one run of
+    whole lines per forked worker; None when ``_fork_workers`` keeps the job
+    (a value per ``_REPR_BYTES`` bytes) here, when ``\\n`` bytes cut fewer
+    than two runs, or when a worker dies."""
+    workers = _fork_workers((stop - start) // _REPR_BYTES, math.inf)
+    splits = (start + (stop - start) * k // workers for k in range(1, workers))
+    cuts = sorted({start, stop, *(_after_newline(fd, split, stop) for split in splits)})
+    if len(cuts) < 3:
+        return None
+    task = functools.partial(_run_table, fd, delimiter)
+    # a first line the C parser refuses (an empty CSV cell, say) starts no pool
+    task(start, _after_newline(fd, start, stop))
+    try:
+        with _fork_map(len(cuts) - 1, task, None, cuts[:-1], cuts[1:]) as tables:
+            tables = list(tables)
+    except BrokenExecutor:
+        return None
+    # a run of blank lines has no width; runs of different widths raise
+    # ValueError, as one parse of the whole body would
+    return np.concatenate([table for table in tables if table.size] or tables[:1])
+
+
+def _read_table(fh, read, head, delimiter, fits):
     """The lines ``head``, then the rest of ``fh``, read by numpy's C parser
     into flat ``(values, observed)`` arrays; None, with ``fh`` back where it
-    was, when the line parser must read them.
+    was, when the line parser must read them. ``read`` is the count of bytes
+    read from ``fh`` so far, ``head`` included.
 
     The C parser reads the tokens Python ``float`` reads to the same doubles,
     except ``1_000`` and non-ASCII digits, on which it raises as on any bad
@@ -235,14 +285,14 @@ def _read_table(fh, head, delimiter, fits):
     and when the bytes ``+nan`` or ``-nan`` are anywhere in the file.
     """
     fd = fh.fileno()
-    if not stat.S_ISREG(os.fstat(fd).st_mode):
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):
         return None
     mark = fh.tell()
     try:
-        with warnings.catch_warnings():
-            # an empty body; the line parser says what is missing
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(itertools.chain(head, fh), delimiter=delimiter, comments=None, ndmin=2)
+        table = _table_in_workers(fd, read - len("".join(head).encode()), info.st_size, delimiter)
+        if table is None:
+            table = _c_table(itertools.chain(head, fh), delimiter)
     except ValueError:
         table = None
     if table is not None and fits(table) and not np.isinf(table).any():
@@ -280,10 +330,11 @@ def load_dense(path):
             if d < 1:
                 raise ParseError(f"{path}:1:{col_no}: dimensions must be positive, got {d}")
             dims.append(d)
-        count = math.prod(dims)
+        count, read = math.prod(dims), len(first.encode())
         flat = None
-        if os.fstat(fh.fileno()).st_size - len(first.encode()) <= _REPR_BYTES * count:
-            flat = _read_table(fh, [], None, lambda table: table.size == count)
+        # a value and its separator take at least two bytes
+        if 2 * count - 1 <= os.fstat(fh.fileno()).st_size - read <= _REPR_BYTES * count:
+            flat = _read_table(fh, read, [], None, lambda table: table.size == count)
         if flat is not None:
             values, observed = flat
         else:
@@ -440,14 +491,14 @@ def load_matrix_csv(path, days, intervals):
     tokens_of = functools.partial(_csv_tokens, width)
     with _utf8_text(path) as fh:
         # only the first non-blank line may be a header
-        line_no, line = 0, ""
+        line_no, line, read = 0, "", 0
         for line in iter(fh.readline, ""):
-            line_no += 1
+            line_no, read = line_no + 1, read + len(line.encode())
             if line.strip():
                 break
         header = line_no if line.strip() and _looks_like_header(line.split(",")) else 0
         head, first_no = ([], line_no + 1) if header else ([line], line_no)
-        flat = _read_table(fh, head, ",", lambda table: table.shape[1] == width)
+        flat = _read_table(fh, read, head, ",", lambda table: table.shape[1] == width)
         if flat is None:
             flat = _parse_lines(itertools.chain(head, fh), tokens_of, path, first_no, math.inf)[:2]
     values, observed = flat

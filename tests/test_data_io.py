@@ -27,9 +27,9 @@ from lrtc.cli import main
 from lrtc.data_io import load_dense, load_matrix_csv, save_dense, save_matrix_csv
 
 # Python 3.12+ warns when a process with live threads forks; the parallel
-# writer must fork only while the process has one thread. Only that warning
-# is an error here: hypothesis's failure report imports modules that raise
-# other DeprecationWarnings, which must not abort the session.
+# reader and writer must fork only while the process has one thread. Only
+# that warning is an error here: hypothesis's failure report imports modules
+# that raise other DeprecationWarnings, which must not abort the test run.
 pytestmark = pytest.mark.filterwarnings(
     r"error:.*use of fork\(\) may lead to deadlocks:DeprecationWarning"
 )
@@ -657,10 +657,11 @@ def test_writers_match_per_scalar_oracle(pair, tmp_path):
         assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
-def _route_every_job_to_pool(monkeypatch, cores):
-    """Send saves of any size to the worker pool, as if ``cores`` cores were
-    usable; returns the worker count of every pool started."""
-    monkeypatch.setattr(data_io, "_PARALLEL_MIN_VALUES", 0)
+def _route_every_job_to_pool(monkeypatch, cores, min_values=0):
+    """Send loads and saves of ``min_values`` values or more to the worker
+    pool, as if ``cores`` cores were usable; returns the worker count of every
+    pool started."""
+    monkeypatch.setattr(data_io, "_PARALLEL_MIN_VALUES", min_values)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     started = []
     real = concurrent.futures.ProcessPoolExecutor
@@ -690,8 +691,8 @@ def test_parallel_writers_match_per_scalar_oracle(pair, cores, per_worker, tmp_p
 
 
 def _refuse_pool(monkeypatch):
-    """Make every save large enough for the pool on two cores, and starting
-    one an error."""
+    """Make every load and save large enough for the pool on two cores, and
+    starting one an error."""
     monkeypatch.setattr(data_io, "_PARALLEL_MIN_VALUES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
@@ -724,11 +725,7 @@ def test_save_while_another_thread_lives_is_serial(tmp_path, monkeypatch):
 _LOADERS = ((load_dense, _oracle_load_dense, ()), (load_matrix_csv, _oracle_load_matrix_csv, (2, 3)))
 
 
-@given(text=dense_texts(), case=csv_texts())
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_parallel_loaders_match_per_token_oracle(text, case, tmp_path, monkeypatch):
-    # the line parser alone, as when numpy's C parser has a doubt
-    monkeypatch.setattr(data_io, "_read_table", lambda *args: None)
+def _assert_loaders_match_oracle(tmp_path, text, case):
     dense, csv = tmp_path / "t.txt", tmp_path / "m.csv"
     dense.write_bytes(text.encode("utf-8"))
     days, intervals, csv_text = case
@@ -737,6 +734,25 @@ def test_parallel_loaders_match_per_token_oracle(text, case, tmp_path, monkeypat
     assert _outcome(load_matrix_csv, csv, days, intervals) == _outcome(
         _oracle_load_matrix_csv, csv, days, intervals
     )
+
+
+@given(text=dense_texts(), case=csv_texts())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_line_parser_matches_per_token_oracle(text, case, tmp_path, monkeypatch):
+    # the line parser alone, as when numpy's C parser has a doubt
+    monkeypatch.setattr(data_io, "_read_table", lambda *args: None)
+    _assert_loaders_match_oracle(tmp_path, text, case)
+
+
+# numpy warns on an empty body; the loaders must not, in a worker either
+@pytest.mark.filterwarnings("error::UserWarning")
+@given(text=dense_texts(), case=csv_texts(), cores=st.sampled_from([1, 2, 3]))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_forked_loaders_match_per_token_oracle(text, case, cores, tmp_path, monkeypatch):
+    # every body is parsed in workers, cut wherever its newlines fall
+    started = _route_every_job_to_pool(monkeypatch, cores)
+    _assert_loaders_match_oracle(tmp_path, text, case)
+    assert all(2 <= workers <= cores for workers in started)
 
 
 def _large_file(tmp_path, fmt, newline):
@@ -757,22 +773,28 @@ def _large_file(tmp_path, fmt, newline):
 @pytest.mark.parametrize("fmt", ["dense", "csv"])
 def test_large_file_is_parsed_in_workers_into_the_same_arrays(tmp_path, monkeypatch, fmt, newline):
     path, load, oracle, extra = _large_file(tmp_path, fmt, newline)
+    # the file's size, at the real threshold, sends it to the workers
+    started = _route_every_job_to_pool(monkeypatch, 2, data_io._PARALLEL_MIN_VALUES)
     parsed = []
     real = data_io._read_table
     monkeypatch.setattr(data_io, "_read_table", lambda *a: parsed.append(real(*a)) or parsed[-1])
     assert _outcome(load, path, *extra) == _outcome(oracle, path, *extra)
     # the arrays came from numpy's C parser, not from a hand-over to the line parser
     assert len(parsed) == 1 and parsed[0] is not None
+    assert started == [2]
 
 
 @pytest.mark.parametrize("fmt", ["dense", "csv"])
-def test_large_file_with_lone_cr_line_ends_starts_no_pool(tmp_path, fmt):
+def test_large_file_with_lone_cr_line_ends_starts_no_pool(tmp_path, monkeypatch, fmt):
+    # no \n byte to cut the body at, so it is read in this process
     path, load, oracle, extra = _large_file(tmp_path, fmt, "\r")
+    _refuse_pool(monkeypatch)
     assert _outcome(load, path, *extra) == _outcome(oracle, path, *extra)
 
 
-def test_dense_header_beyond_its_body_starts_no_pool(tmp_path):
+def test_dense_header_beyond_its_body_starts_no_pool(tmp_path, monkeypatch):
     # 8,000 bytes cannot hold a million values; only the line parser can say so
+    _refuse_pool(monkeypatch)
     path = tmp_path / "t.txt"
     path.write_text("100 100 100\n" + "1.5 2.5\n" * 1000, encoding="utf-8")
     outcome = _outcome(load_dense, path)
@@ -781,15 +803,18 @@ def test_dense_header_beyond_its_body_starts_no_pool(tmp_path):
 
 
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
-def test_workers_end_lines_where_the_text_reader_does(tmp_path, sep):
+def test_workers_end_lines_where_the_text_reader_does(tmp_path, monkeypatch, sep):
     # str.splitlines would end a line at each of these and read two good rows
     # where the text reader sees one row of three cells
+    started = _route_every_job_to_pool(monkeypatch, 2)
     path = tmp_path / "m.csv"
     path.write_text(f"1,2\n1,2{sep}3,4\n5,6\n", encoding="utf-8")
     assert _outcome(load_matrix_csv, path, 1, 2) == _outcome(_oracle_load_matrix_csv, path, 1, 2)
+    assert started == [2]
 
 
-def test_load_while_another_thread_lives_is_serial(tmp_path):
+def test_load_while_another_thread_lives_is_serial(tmp_path, monkeypatch):
+    _refuse_pool(monkeypatch)
     rng = np.random.default_rng(6)
     tensor = rng.standard_normal((5, 2, 3))
     mask = rng.random(tensor.shape) < 0.7
@@ -807,10 +832,11 @@ def test_load_while_another_thread_lives_is_serial(tmp_path):
     assert not thread.is_alive()
 
 
-def test_fifo_load_is_serial(tmp_path):
+def test_fifo_load_is_serial(tmp_path, monkeypatch):
     # a FIFO cannot be read twice, so it goes straight to the line parser
     path = tmp_path / "t.txt"
     save_dense(path, np.arange(24.0).reshape(2, 3, 4))
+    _refuse_pool(monkeypatch)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     feed = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
@@ -834,7 +860,25 @@ def _c_parser_then(fault, calls):
     return loadtxt
 
 
-@pytest.mark.parametrize("fault", ["raise", "exit"])
+def _c_parser_in_worker_then(fault, calls):
+    """A stand-in for numpy's C parser that, in a forked worker, raises
+    ("worker-raise") or kills the worker ("worker-exit"); in the parent it
+    records how many lines it read, then parses them."""
+    parent, real = os.getpid(), np.loadtxt
+
+    def loadtxt(lines, **kwargs):
+        if os.getpid() == parent:
+            lines = list(lines)
+            calls.append(len(lines))
+            return real(lines, **kwargs)
+        if fault == "worker-exit":
+            os._exit(1)
+        raise ValueError("parsing failed")
+
+    return loadtxt
+
+
+@pytest.mark.parametrize("fault", ["raise", "exit", "worker-raise", "worker-exit"])
 @pytest.mark.parametrize(
     "fmt, text, error",
     [
@@ -851,8 +895,19 @@ def test_failed_worker_hands_the_load_to_the_serial_read(tmp_path, monkeypatch, 
     path.write_text(text, encoding="utf-8")
     expected = _outcome(oracle, path, *extra)
     assert expected[0] == "ParseError" and error in expected[1] if error else len(expected) == 5
-    # the C parser has read the whole body before the line parser takes over
     calls = []
+    if fault.startswith("worker"):
+        # three cores cut each body into two runs, so two workers start
+        started = _route_every_job_to_pool(monkeypatch, 3)
+        monkeypatch.setattr(np, "loadtxt", _c_parser_in_worker_then(fault, calls))
+        assert _outcome(load, path, *extra) == expected
+        assert started == [2]
+        # the parent parses the first line before it forks; after a worker
+        # raises, only the line parser reads the body, and after a worker
+        # dies, this process's C parser reads it first
+        assert calls == ([1] if fault == "worker-raise" else [1, 2])
+        return
+    # the C parser has read the whole body before the line parser takes over
     monkeypatch.setattr(np, "loadtxt", _c_parser_then(fault, calls))
     assert _outcome(load, path, *extra) == expected
     assert calls == [2]
@@ -1055,8 +1110,11 @@ _LONG = 20000
     ],
     ids=["dense", "dense-late", "csv", "csv-late", "run-config"],
 )
-def test_non_utf8_file_is_parse_error_naming_it(tmp_path, text, load):
+def test_non_utf8_file_is_parse_error_naming_it(tmp_path, monkeypatch, text, load):
     path = tmp_path / "in.txt"
     path.write_bytes(text)
-    with pytest.raises(ParseError, match=r"in\.txt: not UTF-8 text"):
-        load(path)
+    # in this process, then with the late bad byte in a worker's run
+    for cores in (1, 2):
+        _route_every_job_to_pool(monkeypatch, cores)
+        with pytest.raises(ParseError, match=r"in\.txt: not UTF-8 text"):
+            load(path)
