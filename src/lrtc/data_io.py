@@ -22,11 +22,12 @@ entry they write as a number, and write each value as the ``repr`` of a
 Python float, the shortest text that reads back to the same double.
 
 Files are read as UTF-8; a byte that is not UTF-8 is a parse error naming
-the file but no line. A loader reads the body of a regular file with numpy's
-C parser: in forked worker processes, one run of whole lines each, when
-``_fork_workers`` allows, else in the calling process. On any doubt (see
-``_read_table``) the line parser reads the body a line at a time and raises
-every error with its ``path:line:column``. Every route gives the same arrays.
+the file but no line. numpy's C parser reads the body of a regular file
+once, as runs of whole lines read by byte offset: one run per forked worker
+when ``_fork_workers`` allows, else one run in the calling process. On any
+doubt (see ``_read_table``) the line parser reads the body a line at a time
+and raises every error with its ``path:line:column``. Every route gives the
+same arrays.
 
 The line parser's flat arrays start empty and at least double, in place, as
 they fill: up to the header's count for dense, trimmed to the rows read for
@@ -62,7 +63,7 @@ from concurrent.futures import BrokenExecutor
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError
-from .tensor_ops import _check_pair, _check_tensor3
+from .tensor_ops import _check_pair, _check_tensor3, _is_integer
 
 FORMATS = ("dense", "csv")
 
@@ -82,7 +83,7 @@ _inherited = None
 # the line parser, which stops one value past the count: the ``repr`` of a
 # double is at most 24 characters, plus a separator.
 _REPR_BYTES = 25
-# Bytes the signed-NaN scan reads at a time.
+# Bytes a body run (``_Run``) and the newline search read at a time.
 _SCAN_BYTES = 1 << 16
 
 
@@ -205,31 +206,46 @@ def _parse_lines(lines, tokens_of, path, line_no, cap):
     return values, observed, line_no
 
 
-def _signed_nan(fd):
-    """True when the file ``fd`` holds ``+nan`` or ``-nan`` in any letter case.
+class _Run(io.RawIOBase):
+    """Bytes ``[start, stop)`` of the file ``fd``, read ``_SCAN_BYTES`` at a
+    time with ``os.pread``, which moves no offset that forked workers share.
 
-    It is read ``_SCAN_BYTES`` at a time, and a block with no sign byte is
-    skipped. A match is four bytes long, so the last three bytes of a block
-    are carried into the next, where a match across the edge is found.
+    A block that holds ``+nan`` or ``-nan`` in any letter case raises
+    ``ValueError``, as numpy's C parser reads both as NaN. A match is four
+    bytes long, so the last three bytes of a block are carried into the next,
+    where a match across the edge is found.
     """
-    pos, tail = 0, b""
-    while block := os.pread(fd, _SCAN_BYTES, pos):
-        pos += len(block)
-        block = tail + block
-        if b"+" in block or b"-" in block:
-            low = block.lower()
+
+    def __init__(self, fd, start, stop):
+        self.fd, self.pos, self.stop, self.tail = fd, start, stop, b""
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        block = os.pread(self.fd, min(len(buffer), self.stop - self.pos), self.pos)
+        self.pos += len(block)
+        scan = self.tail + block
+        if b"+" in scan or b"-" in scan:
+            low = scan.lower()
             if b"+nan" in low or b"-nan" in low:
-                return True
-        tail = block[-3:]
-    return False
+                raise ValueError("signed NaN")
+        self.tail = scan[-3:]
+        buffer[: len(block)] = block
+        return len(block)
 
 
-def _c_table(lines, delimiter):
-    """numpy's C parser over ``lines``, as both routes of ``_read_table`` call it."""
+def _run_table(fd, delimiter, start, stop):
+    """numpy's C parser's table of the whole lines in bytes ``[start, stop)``
+    of ``fd``, decoded and split as ``_utf8_text`` reads them; the only route
+    by which a body reaches ``np.loadtxt``."""
+    text = io.TextIOWrapper(_Run(fd, start, stop), encoding="utf-8", newline="")
+    # the size of the wrapper's reads, 8 KB by default
+    text._CHUNK_SIZE = _SCAN_BYTES
     with warnings.catch_warnings():
         # an empty body; the line parser says what is missing
         warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+        return np.loadtxt(text, delimiter=delimiter, comments=None, ndmin=2)
 
 
 def _after_newline(fd, pos, stop):
@@ -241,67 +257,51 @@ def _after_newline(fd, pos, stop):
     return stop
 
 
-def _run_table(fd, delimiter, start, stop):
-    """The C parser's table of the whole lines in bytes ``[start, stop)`` of
-    ``fd``, decoded and split as ``_utf8_text`` reads them."""
-    run = io.BytesIO(os.pread(fd, stop - start, start))
-    return _c_table(io.TextIOWrapper(run, encoding="utf-8", newline=""), delimiter)
+def _read_table(fd, start, delimiter, fits):
+    """Bytes ``start`` to the end of the file ``fd`` read by numpy's C parser
+    into flat ``(values, observed)`` arrays; None when the line parser must
+    read them.
 
-
-def _table_in_workers(fd, start, stop, delimiter):
-    """The C parser's table of bytes ``[start, stop)`` of ``fd``, one run of
-    whole lines per forked worker; None when ``_fork_workers`` keeps the job
-    (a value per ``_REPR_BYTES`` bytes) here, when ``\\n`` bytes cut fewer
-    than two runs, or when a worker dies."""
-    workers = _fork_workers((stop - start) // _REPR_BYTES, math.inf)
-    splits = (start + (stop - start) * k // workers for k in range(1, workers))
-    cuts = sorted({start, stop, *(_after_newline(fd, split, stop) for split in splits)})
-    if len(cuts) < 3:
-        return None
-    task = functools.partial(_run_table, fd, delimiter)
-    # a first line the C parser refuses (an empty CSV cell, say) starts no pool
-    task(start, _after_newline(fd, start, stop))
-    try:
-        with _fork_map(len(cuts) - 1, task, None, cuts[:-1], cuts[1:]) as tables:
-            tables = list(tables)
-    except BrokenExecutor:
-        return None
-    # a run of blank lines has no width; runs of different widths raise
-    # ValueError, as one parse of the whole body would
-    return np.concatenate([table for table in tables if table.size] or tables[:1])
-
-
-def _read_table(fh, read, head, delimiter, fits):
-    """The lines ``head``, then the rest of ``fh``, read by numpy's C parser
-    into flat ``(values, observed)`` arrays; None, with ``fh`` back where it
-    was, when the line parser must read them. ``read`` is the count of bytes
-    read from ``fh`` so far, ``head`` included.
+    When ``_fork_workers`` allows (a value per ``_REPR_BYTES`` bytes), the
+    body is cut just after ``\\n`` bytes into one run of whole lines per
+    forked worker; it is read as one run in this process when the job stays
+    here, when the cuts make fewer than two runs, or when a worker dies.
 
     The C parser reads the tokens Python ``float`` reads to the same doubles,
     except ``1_000`` and non-ASCII digits, on which it raises as on any bad
     token, byte or ragged table; and it reads ``+nan``/``-nan`` as NaN. So it
     is None for a file that is not regular (a FIFO cannot be read twice), when
-    the parser raises, when ``fits(table)`` is false, for an infinite value,
-    and when the bytes ``+nan`` or ``-nan`` are anywhere in the file.
+    the parser or ``_Run`` raises, when ``fits(table)`` is false, and for an
+    infinite value.
     """
-    fd = fh.fileno()
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode):
         return None
-    mark = fh.tell()
+    stop = info.st_size
+    workers = _fork_workers((stop - start) // _REPR_BYTES, math.inf)
+    splits = (start + (stop - start) * k // workers for k in range(1, workers))
+    cuts = sorted({start, stop, *(_after_newline(fd, split, stop) for split in splits)})
+    task = functools.partial(_run_table, fd, delimiter)
     try:
-        table = _table_in_workers(fd, read - len("".join(head).encode()), info.st_size, delimiter)
-        if table is None:
-            table = _c_table(itertools.chain(head, fh), delimiter)
-    except ValueError:
         table = None
-    if table is not None and fits(table) and not np.isinf(table).any():
-        missing = np.isnan(table)
-        if not (missing.any() and _signed_nan(fd)):
-            table[missing] = 0.0
-            return table.ravel(), ~missing.ravel()
-    fh.seek(mark)
-    return None
+        if len(cuts) > 2:
+            # a first line the C parser refuses (an empty CSV cell, say) starts no pool
+            task(start, _after_newline(fd, start, stop))
+            with contextlib.suppress(BrokenExecutor):
+                with _fork_map(len(cuts) - 1, task, None, cuts[:-1], cuts[1:]) as tables:
+                    tables = list(tables)
+                # a run of blank lines has no width; runs of different widths
+                # raise ValueError, as one parse of the whole body would
+                table = np.concatenate([t for t in tables if t.size] or tables[:1])
+        if table is None:
+            table = task(start, stop)
+    except ValueError:
+        return None
+    if not fits(table) or np.isinf(table).any():
+        return None
+    missing = np.isnan(table)
+    table[missing] = 0.0
+    return table.ravel(), ~missing.ravel()
 
 
 def _dense_tokens(line, path, line_no):
@@ -334,7 +334,7 @@ def load_dense(path):
         flat = None
         # a value and its separator take at least two bytes
         if 2 * count - 1 <= os.fstat(fh.fileno()).st_size - read <= _REPR_BYTES * count:
-            flat = _read_table(fh, read, [], None, lambda table: table.size == count)
+            flat = _read_table(fh.fileno(), read, None, lambda table: table.size == count)
         if flat is not None:
             values, observed = flat
         else:
@@ -484,10 +484,9 @@ def _csv_tokens(width, line, path, line_no):
 
 def load_matrix_csv(path, days, intervals):
     """Read a locations x (days*intervals) CSV into a (tensor, mask) pair."""
-    days, intervals = int(days), int(intervals)
-    if days < 1 or intervals < 1:
-        raise ConfigError(f"days and intervals must be positive, got {days}, {intervals}")
-    width = days * intervals
+    if not all(_is_integer(n) and n >= 1 for n in (days, intervals)):
+        raise ConfigError(f"days and intervals must be positive integers, got {days}, {intervals}")
+    width = int(days) * int(intervals)
     tokens_of = functools.partial(_csv_tokens, width)
     with _utf8_text(path) as fh:
         # only the first non-blank line may be a header
@@ -498,7 +497,8 @@ def load_matrix_csv(path, days, intervals):
                 break
         header = line_no if line.strip() and _looks_like_header(line.split(",")) else 0
         head, first_no = ([], line_no + 1) if header else ([line], line_no)
-        flat = _read_table(fh, read, head, ",", lambda table: table.shape[1] == width)
+        start = read - len("".join(head).encode())
+        flat = _read_table(fh.fileno(), start, ",", lambda table: table.shape[1] == width)
         if flat is None:
             flat = _parse_lines(itertools.chain(head, fh), tokens_of, path, first_no, math.inf)[:2]
     values, observed = flat
@@ -529,7 +529,7 @@ def load_tensor(path, fmt="dense", csv_dims=None):
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
     if fmt == "dense":
         return load_dense(path)
-    if csv_dims is None:
+    if csv_dims is None or len(csv_dims) != 2:
         raise ConfigError("csv format needs the (days, intervals) pair")
     return load_matrix_csv(path, *csv_dims)
 

@@ -7,11 +7,11 @@ functions of (pattern, rate, seed, dims).
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ConfigError
+from .tensor_ops import _is_integer
 
 PATTERNS = ("rm", "nm")
 
@@ -23,7 +23,7 @@ def _check_rate(rate):
 
 def check_seed(seed):
     """A random seed must be a nonnegative integer (``numpy`` rejects the rest)."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateProblemError, InvalidInputError
 from .shrinkage import truncated_svt, truncation_for_mode
-from .tensor_ops import MODES, _check_pair, fold, frobenius_norm, unfold
+from .tensor_ops import MODES, _check_pair, _is_integer, fold, frobenius_norm, unfold
 
 SOLVER_NAMES = ("tnn", "halrtc")
 
@@ -74,8 +74,7 @@ class SolverConfig:
             raise ConfigError(f"rho_mult must be finite and >= 1, got {self.rho_mult}")
         if not 0.0 < self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        # not isinstance: bool is an int subclass, but True is no iteration count
-        if not (type(self.max_iter) is int and self.max_iter >= 1):
+        if not (_is_integer(self.max_iter) and self.max_iter >= 1):
             raise ConfigError(f"max_iter must be a positive integer, got {self.max_iter}")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .masks import check_seed
+from .tensor_ops import _check_dims, _is_integer
 
 
 def synth_lowrank(dims, rank, value_offset=10.0, seed=0, ones_factors=False):
@@ -14,10 +15,8 @@ def synth_lowrank(dims, rank, value_offset=10.0, seed=0, ones_factors=False):
     is 0). ``ones_factors=True`` overrides the random factors with all-ones,
     which makes every entry exactly ``rank + value_offset``.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise ConfigError(f"dims must be three positive integers, got {dims}")
-    if not 1 <= rank <= min(dims):
+    dims = _check_dims(dims, ConfigError)
+    if not (_is_integer(rank) and 1 <= rank <= min(dims)):
         raise ConfigError(f"rank must lie in [1, {min(dims)}] for dims {dims}, got {rank}")
     check_seed(seed)
     if not np.isfinite(value_offset):

@@ -10,6 +10,8 @@ No function here mutates its input, so they are safe to call concurrently.
 ``unfold`` and ``fold`` may return views that share memory with their input.
 """
 
+from numbers import Integral
+
 import numpy as np
 
 from .errors import DimensionError
@@ -33,11 +35,17 @@ def _check_mode(mode):
         raise DimensionError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _check_dims(dims):
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise DimensionError(f"dims must be three positive integers, got {dims}")
-    return dims
+def _is_integer(value):
+    """True for an integer, numpy's included, but not for a ``bool``: ``True`` counts nothing."""
+    # the type test spares ``fold``, called every solver iteration, the slower ABC check
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
+def _check_dims(dims, error=DimensionError):
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(_is_integer(d) and d >= 1 for d in dims):
+        raise error(f"dims must be three positive integers, got {dims}")
+    return tuple(map(int, dims))
 
 
 def unfold(tensor, mode):

@@ -240,6 +240,22 @@ class TestMatrixCsvFormat:
         assert outcome == _outcome(_oracle_load_matrix_csv, path, 1, 2)
         assert outcome[0] == "ParseError" and ":1:1: non-finite value '-nAn'" in outcome[1]
 
+    @pytest.mark.parametrize(
+        "days, intervals", [(2.7, 3), (2, 3.0), (True, 6), ("2", 3), (0, 6), (2, -3)]
+    )
+    def test_days_and_intervals_must_be_positive_integers(self, tmp_path, days, intervals):
+        # 2.7 days is not read as 2
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3,4,5,6\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="days and intervals must be positive integers"):
+            load_matrix_csv(path, days, intervals)
+
+    def test_numpy_integer_days_and_intervals(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3,4,5,6\n", encoding="utf-8")
+        tensor, _ = load_matrix_csv(path, np.int64(2), np.uint8(3))
+        assert tensor.shape == (1, 2, 3)
+
     def test_column_count_mismatch(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.0,2.0,3.0\n", encoding="utf-8")
@@ -315,6 +331,13 @@ class TestDispatch:
     def test_csv_needs_dims(self, tmp_path):
         with pytest.raises(ConfigError):
             load_tensor(tmp_path / "x.csv", fmt="csv")
+
+    @pytest.mark.parametrize("csv_dims", [(2, 3, 4), (6,), ()])
+    def test_csv_dims_must_be_a_pair(self, tmp_path, csv_dims):
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3,4,5,6\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"needs the \(days, intervals\) pair"):
+            load_tensor(path, fmt="csv", csv_dims=csv_dims)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -782,6 +805,36 @@ def test_large_file_is_parsed_in_workers_into_the_same_arrays(tmp_path, monkeypa
     # the arrays came from numpy's C parser, not from a hand-over to the line parser
     assert len(parsed) == 1 and parsed[0] is not None
     assert started == [2]
+
+
+@pytest.mark.parametrize("before", [4, 3, 2, 1, 0])
+def test_signed_nan_at_a_block_edge_of_a_workers_run_is_rejected(tmp_path, monkeypatch, before):
+    # the body is cut just after the first run's last newline, so the second
+    # run starts at the padded line, and ``before`` bytes of its -nAn cell
+    # fall in that run's first block
+    second = " " * (data_io._SCAN_BYTES - before) + "-nAn,1\n"
+    first = "1,2\n" * (len(second) // 4 + 1)
+    path = tmp_path / "m.csv"
+    path.write_text(first + second, encoding="utf-8")
+    started = _route_every_job_to_pool(monkeypatch, 2)
+    outcome = _outcome(load_matrix_csv, path, 1, 2)
+    assert outcome == _outcome(_oracle_load_matrix_csv, path, 1, 2)
+    line_no = first.count("\n") + 1
+    assert outcome[0] == "ParseError" and f":{line_no}:1: non-finite value '-nAn'" in outcome[1]
+    assert started == [2]
+
+
+def test_signed_nan_text_in_a_csv_header_leaves_the_body_to_the_c_parser(tmp_path, monkeypatch):
+    # only the body's bytes are searched for +nan and -nan
+    path = tmp_path / "m.csv"
+    path.write_text("speed-nan,count+NaN\n1.5,nan\n2.5,3.5\n", encoding="utf-8")
+    parsed = []
+    real = data_io._read_table
+    monkeypatch.setattr(data_io, "_read_table", lambda *a: parsed.append(real(*a)) or parsed[-1])
+    outcome = _outcome(load_matrix_csv, path, 1, 2)
+    assert outcome == _outcome(_oracle_load_matrix_csv, path, 1, 2)
+    assert outcome[0] == (2, 1, 2)
+    assert len(parsed) == 1 and parsed[0] is not None
 
 
 @pytest.mark.parametrize("fmt", ["dense", "csv"])

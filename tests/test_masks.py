@@ -88,7 +88,12 @@ class TestMissingScenario:
         with pytest.raises(ConfigError):
             MissingScenario("rm", 1.2, 0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint32(3)])
+    def test_numpy_integer_seed_is_a_seed(self, seed):
+        mask = generate_rm_mask((3, 4, 5), 0.4, seed)
+        assert np.array_equal(mask, generate_rm_mask((3, 4, 5), 0.4, 3))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None, np.float64(3.0), np.True_])
     def test_seed_must_be_nonnegative_integer(self, seed):
         for make in (
             lambda: MissingScenario("rm", 0.4, seed),

@@ -71,6 +71,13 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("max_iter", [np.int64(10), np.int32(1), np.uint8(3)])
+    def test_numpy_integer_max_iter_is_an_iteration_count(self, max_iter):
+        config = SolverConfig(theta=0.1, max_iter=max_iter)
+        assert config.max_iter == max_iter
+        result = solve(np.ones((3, 3, 3)), np.ones((3, 3, 3), dtype=bool), config)
+        assert result.iterations <= max_iter
+
     def test_infinite_rho_max_is_no_cap(self):
         assert SolverConfig(theta=0.1, rho_max=float("inf")).rho_max == float("inf")
 

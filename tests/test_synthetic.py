@@ -53,3 +53,21 @@ class TestSynthLowrank:
             synth_lowrank((4, 5), 2)
         with pytest.raises(ConfigError):
             synth_lowrank((4, 0, 6), 2)
+
+    @pytest.mark.parametrize(
+        "dims, rank, error",
+        [
+            ((4.5, 4, 4), 2, "dims must be three positive integers"),
+            ((4, 4, True), 1, "dims must be three positive integers"),
+            ((4, 4, 4), 2.5, "rank must lie in"),
+            ((4, 4, 4), True, "rank must lie in"),
+            ((4, 4, 4), np.float64(2.0), "rank must lie in"),
+        ],
+    )
+    def test_non_integer_dims_or_rank_is_config_error(self, dims, rank, error):
+        with pytest.raises(ConfigError, match=error):
+            synth_lowrank(dims, rank)
+
+    def test_numpy_integers_are_dims_and_rank(self):
+        dims = tuple(np.array([4, 5, 6]))
+        assert np.array_equal(synth_lowrank(dims, np.int64(2)), synth_lowrank((4, 5, 6), 2))

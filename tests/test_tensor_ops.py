@@ -8,8 +8,10 @@ from lrtc import (
     DimensionError,
     fold,
     frobenius_norm,
+    truncation_for_mode,
     unfold,
 )
+from lrtc.tensor_ops import _check_dims
 
 
 def column_index(indices, dims, mode):
@@ -114,6 +116,23 @@ class TestFold:
     def test_bad_dims(self):
         with pytest.raises(DimensionError):
             fold(np.zeros((3, 20)), 1, (4, 3))
+
+    @pytest.mark.parametrize(
+        "dims", [(4.7, 3, 2), (4, 3.0, 2), (4, 3, True), (4, 3, "2"), (4, 3, 2, 1), (4, -3, 2)]
+    )
+    def test_dims_must_be_three_positive_integers(self, dims):
+        # a float is not truncated to the integer below it
+        for check in (
+            lambda: _check_dims(dims),
+            lambda: fold(np.zeros((4, 6)), 0, dims),
+            lambda: truncation_for_mode(dims, 0, 0.5),
+        ):
+            with pytest.raises(DimensionError, match="dims must be three positive integers"):
+                check()
+
+    def test_numpy_integer_dims_are_dims(self):
+        dims = _check_dims(np.array([4, 3, 2]))
+        assert dims == (4, 3, 2) and all(type(d) is int for d in dims)
 
 
 class TestFrobeniusNorm:
