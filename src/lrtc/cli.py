@@ -181,6 +181,20 @@ def _schedule_config(args, theta):
     return SolverConfig(theta=theta, **{k: v for k, v in given.items() if v is not None})
 
 
+def _solver_runs(args, solvers, thetas):
+    """The (solver, config) pair of each run: tnn once per value in
+    ``thetas`` (the --theta values), any other solver once, since only tnn
+    reads --theta."""
+    runs = []
+    for solver in solvers:
+        if solver == "tnn" and thetas is None:
+            raise ConfigError("--theta is required for the tnn solver")
+        # any other solver gets a placeholder theta that solver_config replaces
+        for theta in thetas if solver == "tnn" else [0.0]:
+            runs.append((solver, solver_config(solver, _schedule_config(args, theta))))
+    return runs
+
+
 def _load_input(args):
     return load_tensor(args.input, fmt=args.format or "dense", csv_dims=args.dims)
 
@@ -193,13 +207,8 @@ def _write_trace(path, result):
 
 
 def cmd_impute(args):
-    solver = args.solver or "tnn"
-    if solver == "tnn" and args.theta is None:
-        raise ConfigError("--theta is required for the tnn solver")
-    # Only tnn reads --theta; any other solver gets a placeholder that
-    # solver_config replaces.
-    theta = args.theta if solver == "tnn" else 0.0
-    config = solver_config(solver, _schedule_config(args, theta))
+    thetas = None if args.theta is None else [args.theta]
+    [(_, config)] = _solver_runs(args, [args.solver or "tnn"], thetas)
     tensor, mask = _load_input(args)
     result = solve(tensor, mask, config)
     if not result.converged:
@@ -225,17 +234,7 @@ def _benchmark_source(args):
 
 
 def cmd_benchmark(args):
-    solvers = args.solver or ["tnn"]
-
-    solver_runs = []
-    for solver in solvers:
-        if solver == "tnn" and args.theta is None:
-            raise ConfigError("--theta is required when benchmarking the tnn solver")
-        # Only tnn reads --theta; any other solver runs once, and
-        # run_experiment maps its placeholder theta through solver_config.
-        for theta in args.theta if solver == "tnn" else [0.0]:
-            solver_runs.append((solver, _schedule_config(args, theta)))
-
+    solver_runs = _solver_runs(args, args.solver or ["tnn"], args.theta)
     data, native_mask = _benchmark_source(args)
     scenarios = [
         MissingScenario(pattern=p, rate=r, seed=s)

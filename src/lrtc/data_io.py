@@ -29,10 +29,12 @@ doubt (see ``_read_table``) the line parser reads the body a line at a time
 and raises every error with its ``path:line:column``. Every route gives the
 same arrays.
 
-The line parser's flat arrays start empty and at least double, in place, as
-they fill: up to the header's count for dense, trimmed to the rows read for
-CSV. So a header or (days, intervals) pair that promises more values than the
-file holds allocates no more than the file fills, and is a parse error.
+Both routes give one flat array of the values, NaN where an entry is
+missing, and ``_tensor_pair`` alone turns it into the tensor and its mask. The
+line parser appends each line's values to one ``array.array``, which grows
+only as values arrive. So a header or (days, intervals) pair that promises
+more values than the file holds allocates no more than the file fills, and is
+a parse error.
 
 A large tensor is formatted in forked worker processes on every core the
 process may use, when ``_fork_workers`` allows; the bytes written do not
@@ -48,6 +50,7 @@ Run-configuration files are ``key = value`` lines (``#`` comments allowed);
 exactly as it reads the flag the key names.
 """
 
+import array
 import contextlib
 import functools
 import itertools
@@ -68,8 +71,6 @@ from .tensor_ops import _check_pair, _check_tensor3, _is_integer
 FORMATS = ("dense", "csv")
 
 
-# Capacity, in values, of a loader's arrays once its first row arrives.
-_START_VALUES = 1 << 16
 # Below this many values a load or save runs in the calling process: pool
 # start-up and teardown (about 10 ms) cost as much as formatting 10k values.
 _PARALLEL_MIN_VALUES = 2**17
@@ -147,63 +148,53 @@ def _utf8_text(path):
 
 
 def _parse_row(tokens, path, line_no):
-    """One line's tokens as ``(values, missing)``, with missing values set to 0.
+    """One line's tokens as an array of floats, NaN where a token is ``nan``.
 
-    The whole row goes through ``float`` at once. A NaN counts as missing only
-    when its token is ``nan`` itself (``float`` also reads ``+nan`` and
-    ``-nan``), and every other value must be finite. A row that fails either
-    check holds a bad token; the first one is raised with its line and column.
+    The whole row goes through ``float`` at once, and passes when it holds as
+    many non-finite values as lowercase ``nan`` tokens: each of those reads
+    as NaN, so no other value is non-finite. Otherwise the tokens that may be
+    bad (every token when one does not parse, else those of the non-finite
+    values) are checked one at a time: a NaN counts as missing only when its
+    token is ``nan`` in any letter case (``float`` also reads ``+nan``,
+    ``-nan`` and infinities), and the first bad token is raised with its line
+    and column.
     """
     try:
-        values = np.array(list(map(float, tokens)), dtype=float)
+        values = np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError:
-        pass
+        values, suspects = None, range(len(tokens))
     else:
-        missing = np.isnan(values)
-        if all(len(tokens[j]) == 3 for j in np.flatnonzero(missing).tolist()):
-            values[missing] = 0.0
-            if np.isfinite(values).all():
-                return values, missing
-    for col_no, token in enumerate(tokens, start=1):
+        finite = np.isfinite(values)
+        if np.count_nonzero(finite) + tokens.count("nan") == len(tokens):
+            return values
+        suspects = np.flatnonzero(~finite).tolist()
+    for j in suspects:
+        token = tokens[j]
         try:
             bad = token.lower() != "nan" and not math.isfinite(float(token))
         except ValueError:
-            raise ParseError(
-                f"{path}:{line_no}:{col_no}: cannot parse {token!r} as a number"
-            ) from None
+            raise ParseError(f"{path}:{line_no}:{j + 1}: cannot parse {token!r} as a number") from None
         if bad:
-            raise ParseError(f"{path}:{line_no}:{col_no}: non-finite value {token!r} is not allowed")
+            raise ParseError(f"{path}:{line_no}:{j + 1}: non-finite value {token!r} is not allowed")
+    return values
 
 
 def _parse_lines(lines, tokens_of, path, line_no, cap):
     """Each line's ``tokens_of(line, path, line_no)``, numbering the lines from
-    ``line_no``, parsed into flat ``(values, observed)`` arrays; return them
-    and the last line's number (``line_no - 1`` when there are none). Passing
-    ``cap`` values is an error.
-
-    Both arrays start empty, grow in place when full, at least doubling from
-    ``_START_VALUES``, and are trimmed to the values read. ``refcheck=False``
-    is safe because no view of them is taken before they are returned.
+    ``line_no``, parsed into one flat array, NaN where an entry is missing;
+    return it and the last line's number (``line_no - 1`` when there are
+    none). Passing ``cap`` values is an error.
     """
-    values, observed = np.empty(0), np.empty(0, dtype=bool)
-    pos, line_no = 0, line_no - 1
+    values, line_no = array.array("d"), line_no - 1
     for line_no, line in enumerate(lines, start=line_no + 1):
         tokens = tokens_of(line, path, line_no)
-        end = pos + len(tokens)
-        if end > cap:
+        room = cap - len(values)
+        if len(tokens) > room:
             # tokens ahead of the overflow column are still checked first
-            _parse_row(tokens[: cap - pos], path, line_no)
-            raise ParseError(f"{path}:{line_no}:{cap - pos + 1}: more than {cap} values in file")
-        if end > len(values):
-            size = min(max(end, 2 * len(values), _START_VALUES), cap)
-            values.resize(size, refcheck=False)
-            observed.resize(size, refcheck=False)
-        values[pos:end], missing = _parse_row(tokens, path, line_no)
-        observed[pos:end] = ~missing
-        pos = end
-    values.resize(pos, refcheck=False)
-    observed.resize(pos, refcheck=False)
-    return values, observed, line_no
+            _parse_row(tokens[:room], path, line_no)
+            raise ParseError(f"{path}:{line_no}:{room + 1}: more than {cap} values in file")
+        values.frombytes(_parse_row(tokens, path, line_no).tobytes())
+    return np.frombuffer(values), line_no
 
 
 class _Run(io.RawIOBase):
@@ -259,8 +250,8 @@ def _after_newline(fd, pos, stop):
 
 def _read_table(fd, start, delimiter, fits):
     """Bytes ``start`` to the end of the file ``fd`` read by numpy's C parser
-    into flat ``(values, observed)`` arrays; None when the line parser must
-    read them.
+    into one flat array, NaN where an entry is missing; None when the line
+    parser must read them.
 
     When ``_fork_workers`` allows (a value per ``_REPR_BYTES`` bytes), the
     body is cut just after ``\\n`` bytes into one run of whole lines per
@@ -299,9 +290,19 @@ def _read_table(fd, start, delimiter, fits):
         return None
     if not fits(table) or np.isinf(table).any():
         return None
-    missing = np.isnan(table)
-    table[missing] = 0.0
-    return table.ravel(), ~missing.ravel()
+    return table.ravel()
+
+
+def _tensor_pair(flat, shape):
+    """The (tensor, mask) pair of ``flat``, either route's values: the one
+    place where a NaN becomes a missing entry, value 0 and mask False.
+
+    ``flat`` is zeroed in place, and the mask is the NaN test's array inverted
+    in place, so no array is allocated beyond the mask.
+    """
+    missing = np.isnan(flat)
+    flat[missing] = 0.0
+    return flat.reshape(shape), np.logical_not(missing, out=missing).reshape(shape)
 
 
 def _dense_tokens(line, path, line_no):
@@ -335,13 +336,11 @@ def load_dense(path):
         # a value and its separator take at least two bytes
         if 2 * count - 1 <= os.fstat(fh.fileno()).st_size - read <= _REPR_BYTES * count:
             flat = _read_table(fh.fileno(), read, None, lambda table: table.size == count)
-        if flat is not None:
-            values, observed = flat
-        else:
-            values, observed, line_no = _parse_lines(fh, _dense_tokens, path, 2, count)
-            if len(values) != count:
-                raise ParseError(f"{path}:{line_no}: expected {count} values, found {len(values)}")
-    return values.reshape(dims), observed.reshape(dims)
+        if flat is None:
+            flat, line_no = _parse_lines(fh, _dense_tokens, path, 2, count)
+            if len(flat) != count:
+                raise ParseError(f"{path}:{line_no}: expected {count} values, found {len(flat)}")
+    return _tensor_pair(flat, dims)
 
 
 def _check_output(tensor, mask):
@@ -500,14 +499,12 @@ def load_matrix_csv(path, days, intervals):
         start = read - len("".join(head).encode())
         flat = _read_table(fh.fileno(), start, ",", lambda table: table.shape[1] == width)
         if flat is None:
-            flat = _parse_lines(itertools.chain(head, fh), tokens_of, path, first_no, math.inf)[:2]
-    values, observed = flat
-    if not len(values):
+            flat = _parse_lines(itertools.chain(head, fh), tokens_of, path, first_no, math.inf)[0]
+    if not len(flat):
         raise ParseError(
             f"{path}:{header}: no data rows after header" if header else f"{path}:1: empty file"
         )
-    shape = (len(values) // width, days, intervals)
-    return values.reshape(shape), observed.reshape(shape)
+    return _tensor_pair(flat, (len(flat) // width, days, intervals))
 
 
 def save_matrix_csv(path, tensor, mask=None):

@@ -28,7 +28,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .tensor_ops import _check_dims, _check_mode
+from .tensor_ops import _check_dims, _check_mode, _is_integer
 
 # Singular values below this are treated as exact zeros before shrinkage,
 # so numerical noise cannot masquerade as rank.
@@ -58,6 +58,12 @@ def thin_svd(matrix):
     return u, np.where(sigma < SIGMA_FLOOR, 0.0, sigma), vt
 
 
+def check_theta(theta):
+    """A truncation rate must lie in [0, 1); NaN fails too."""
+    if not 0.0 <= theta < 1.0:
+        raise ConfigError(f"theta must lie in [0, 1), got {theta}")
+
+
 def truncation_for_mode(dims, mode, theta):
     """Per-mode truncation level ``ceil(theta * min(n_mode, prod(other dims)))``.
 
@@ -67,8 +73,7 @@ def truncation_for_mode(dims, mode, theta):
     always yields 0, the nuclear-norm special case.
     """
     _check_mode(mode)
-    if not 0.0 <= theta < 1.0:
-        raise ConfigError(f"theta must lie in [0, 1), got {theta}")
+    check_theta(theta)
     dims = _check_dims(dims)
     bound = min(dims[mode], int(np.prod([d for ax, d in enumerate(dims) if ax != mode])))
     trunc = math.ceil(theta * bound - _CEIL_GUARD)
@@ -95,18 +100,15 @@ def truncated_svt(matrix, trunc, tau):
     """
     matrix = np.asarray(matrix, dtype=float)
     bound = min(matrix.shape)
-    try:
-        if not 0 <= int(trunc) == trunc:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):  # int() of None, nan and inf too
-        raise ConfigError(f"truncation must be a nonnegative integer, got {trunc!r}") from None
+    if not (_is_integer(trunc) and trunc >= 0):
+        raise ConfigError(f"truncation must be a nonnegative integer, got {trunc!r}")
     if trunc >= bound:
         raise ConfigError(
             f"truncation {trunc} too large for a {matrix.shape[0]}x{matrix.shape[1]} "
             f"matrix (must stay below {bound})"
         )
     weights = np.ones(bound)
-    weights[: int(trunc)] = 0.0
+    weights[:trunc] = 0.0
     return _shrink(matrix, weights, tau)
 
 

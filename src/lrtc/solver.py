@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DegenerateProblemError, InvalidInputError
-from .shrinkage import truncated_svt, truncation_for_mode
+from .shrinkage import check_theta, truncated_svt, truncation_for_mode
 from .tensor_ops import MODES, _check_pair, _is_integer, fold, frobenius_norm, unfold
 
 SOLVER_NAMES = ("tnn", "halrtc")
@@ -64,8 +64,7 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not 0.0 <= self.theta < 1.0:
-            raise ConfigError(f"theta must lie in [0, 1), got {self.theta}")
+        check_theta(self.theta)
         if not 0.0 < self.rho0 < math.inf:
             raise ConfigError(f"rho0 must be positive and finite, got {self.rho0}")
         if not self.rho_max >= self.rho0:

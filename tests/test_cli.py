@@ -486,3 +486,20 @@ def test_missing_needed_flags_are_one_usage_error(tmp_path, monkeypatch, capsys,
     assert main([command]) == 2
     assert capsys.readouterr().err == f"error: the following arguments are required: {flags}\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["impute", "--output", "o.txt"],
+        ["benchmark", "--pattern", "rm", "--rate", "0.3", "--seed", "1",
+         "--solver", "halrtc", "tnn", "--report", "r.csv"],
+    ],
+    ids=["impute", "benchmark"],
+)
+def test_tnn_without_theta_is_one_config_error(synth_file, tmp_path, monkeypatch, capsys, argv):
+    # only tnn reads --theta; both commands refuse a tnn run without it alike
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--input", str(synth_file)]) == 3
+    assert capsys.readouterr().err == "error: --theta is required for the tnn solver\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data.txt"]

@@ -807,6 +807,34 @@ def test_large_file_is_parsed_in_workers_into_the_same_arrays(tmp_path, monkeypa
     assert started == [2]
 
 
+@pytest.mark.parametrize("fmt", ["dense", "csv"])
+def test_large_file_the_c_parser_refuses_is_read_by_the_line_parser(tmp_path, monkeypatch, fmt):
+    # numpy's C parser refuses empty CSV cells and dense lines of different
+    # lengths; the line parser must then give the oracle's arrays at scale
+    path, load, oracle, extra = _large_file(tmp_path, fmt, "\n")
+    text = path.read_text(encoding="utf-8")
+    if fmt == "csv":
+        lines = [
+            ",".join("" if cell == "nan" else cell for cell in line.split(","))
+            for line in text.splitlines()
+        ]
+    else:
+        # 7 values a line, the last line shorter
+        head, body = text.split("\n", 1)
+        tokens = body.split()
+        lines = [head] + [" ".join(tokens[i : i + 7]) for i in range(0, len(tokens), 7)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    started = _route_every_job_to_pool(monkeypatch, 2, data_io._PARALLEL_MIN_VALUES)
+    parsed = []
+    real = data_io._read_table
+    monkeypatch.setattr(data_io, "_read_table", lambda *a: parsed.append(real(*a)) or parsed[-1])
+    assert _outcome(load, path, *extra) == _outcome(oracle, path, *extra)
+    # the C parser was tried and refused the body: the CSV's first line in
+    # this process, the dense file's short last line in a worker
+    assert parsed == [None]
+    assert started == ([2] if fmt == "dense" else [])
+
+
 @pytest.mark.parametrize("before", [4, 3, 2, 1, 0])
 def test_signed_nan_at_a_block_edge_of_a_workers_run_is_rejected(tmp_path, monkeypatch, before):
     # the body is cut just after the first run's last newline, so the second

@@ -210,7 +210,7 @@ class TestTruncatedSvt:
             truncated_svt(np.ones((3, 4)), 1, np.nan)
         with pytest.raises(ConfigError):
             svt(np.ones((3, 4)), np.nan)
-        for trunc in (np.nan, np.inf, None):
+        for trunc in (np.nan, np.inf, None, True, 2.0):
             with pytest.raises(ConfigError):
                 truncated_svt(np.ones((3, 4)), trunc, 1.0)
 
