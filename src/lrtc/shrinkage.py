@@ -13,13 +13,14 @@ share one shrink-and-rebuild body. All kernels are pure functions; per-mode
 shrinkages within a solver iteration may run concurrently.
 
 A matrix at least twice as wide as it is tall, or the reverse (every
-unfolding of a location x day x time-of-day tensor is), takes the Gram route:
-``thin_svd`` of the Cholesky factor of ``G = A A^T`` gives A's left singular
-vectors ``u`` and values ``sigma``, and ``X = u diag(shrunk / sigma) u^T A``;
-A's right factor is never formed. Forming ``G`` squares the condition number,
-so the route is taken only when ``G`` is finite, its Cholesky succeeds and
-``sigma[-1] > GRAM_RCOND * sigma[0]``; any other matrix is rebuilt from
-``thin_svd(A)``. The result has the memory order of the input.
+unfolding of a location x day x time-of-day tensor is), is factored wide side
+up by ``thin_svd(wide, right=False)``. That takes A's left singular vectors
+``u`` and values ``sigma`` from one ``eigh`` of ``G = A A^T`` and builds no
+right factor, so the kernel rebuilds ``X = u diag(shrunk / sigma) u^T A``.
+Forming ``G`` squares the condition number, so ``thin_svd`` takes this Gram
+route only when ``G`` is finite and ``sigma[-1] > GRAM_RCOND * sigma[0] > 0``;
+any other matrix runs LAPACK once and is rebuilt from its three factors. The
+result has the memory order of the input.
 """
 
 import math
@@ -30,8 +31,10 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .tensor_ops import _check_dims, _check_mode, _is_integer
 
-# Singular values below this are treated as exact zeros before shrinkage,
-# so numerical noise cannot masquerade as rank.
+# Singular values below this fraction of the largest are treated as exact
+# zeros before shrinkage, so numerical noise cannot masquerade as rank. The
+# floor is relative because the solver's SVT input is scaled by rho: an
+# absolute one would zero a whole spectrum of data in small units.
 SIGMA_FLOOR = 1e-12
 
 # The Gram route of the kernels is taken only when sigma_min / sigma_max of
@@ -43,19 +46,30 @@ GRAM_RCOND = 1e-4
 _CEIL_GUARD = 1e-9
 
 
-def thin_svd(matrix):
-    """Thin SVD ``(u, sigma, vt)`` by LAPACK, with descending, floor-clamped sigma.
+def thin_svd(matrix, right=True):
+    """Thin SVD ``(u, sigma, vt)`` with descending, floor-clamped sigma.
 
-    The kernels call it on the Cholesky factor of a Gram matrix or, off that
-    route, on the matrix itself; it is also their oracle.
+    By default LAPACK computes all three factors; that is the kernels' oracle.
+    With ``right=False`` a matrix at least twice as wide as it is tall takes
+    ``u`` and ``sigma`` from one ``eigh`` of its Gram matrix and returns
+    ``vt = None``, if that Gram matrix is finite and passes the conditioning
+    guard; any other matrix still gets all three factors from LAPACK.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got ndim={matrix.ndim}")
     if not np.isfinite(matrix).all():
         raise InvalidInputError("matrix contains non-finite entries")
+    if not right and 0 < 2 * matrix.shape[0] <= matrix.shape[1]:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow falls back below
+            gram = matrix @ matrix.T
+        if np.isfinite(gram).all():
+            lam, u = np.linalg.eigh(gram)
+            lam, u = lam[::-1], u[:, ::-1]
+            if lam[-1] > GRAM_RCOND**2 * lam[0] > 0:  # then no value is below the floor
+                return u, np.sqrt(lam), None
     u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
-    return u, np.where(sigma < SIGMA_FLOOR, 0.0, sigma), vt
+    return u, np.where(sigma < SIGMA_FLOOR * sigma[:1], 0.0, sigma), vt
 
 
 def check_theta(theta):
@@ -148,21 +162,11 @@ def _shrink(matrix, weights, tau):
     # a zero weight keeps its value even at tau = inf, where tau * 0 is NaN
     penalty = tau * weights if tau < math.inf else np.where(weights > 0, tau, 0.0)
     tall = matrix.shape[0] > matrix.shape[1]
-    wide = matrix.T if tall else matrix
-    if 0 < 2 * wide.shape[0] <= wide.shape[1]:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow falls back below
-            gram = wide @ wide.T
-        if np.isfinite(gram).all():
-            try:
-                u, sigma, _ = thin_svd(np.linalg.cholesky(gram))
-            except np.linalg.LinAlgError:  # G not numerically positive definite
-                sigma = np.zeros(1)  # fails the guard
-            if sigma[-1] > GRAM_RCOND * sigma[0] > 0:
-                shrunk = np.maximum(sigma - penalty, 0.0)
-                k = np.count_nonzero(shrunk)
-                p = (u[:, :k] * (shrunk[:k] / sigma[:k])) @ u[:, :k].T
-                return matrix @ p if tall else p @ matrix
-    u, sigma, vt = thin_svd(matrix)
+    u, sigma, vt = thin_svd(matrix.T if tall else matrix, right=False)
     shrunk = np.maximum(sigma - penalty, 0.0)
     k = np.count_nonzero(shrunk)  # shrunk is non-increasing: rebuild from its nonzeros
-    return (u[:, :k] * shrunk[:k]) @ vt[:k]
+    if vt is None:
+        p = (u[:, :k] * (shrunk[:k] / sigma[:k])) @ u[:, :k].T
+        return matrix @ p if tall else p @ matrix
+    us = u[:, :k] * shrunk[:k]
+    return vt[:k].T @ us.T if tall else us @ vt[:k]

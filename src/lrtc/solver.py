@@ -6,15 +6,24 @@ allocates its state once: the duals as one ``(3, n1, n2, n3)`` array, ``m``, a
 sum buffer ``s`` and a flat work buffer; no two ``x_k`` exist at once. Each
 iteration runs, in order:
 
-1. ``update_x``, per mode k: ``z = m - t[k] / rho`` into the work buffer, in C
-   order for modes 0 and 2 (whose unfoldings are a C and a Fortran view) and
-   mode-1 first for mode 1; ``x_k``, the fold of ``truncated_svt(unfold_k(z))``,
-   a view of the SVT output in z's layout; ``s += x_k`` and ``t[k] += rho *
-   x_k``. Each ``x_k`` reads only the previous m and its own dual;
-2. ``update_m``: ``m_new = s / 3``, observed entries overwritten with the input;
+1. ``update_x``, per mode k: ``z = rho * m - t[k]`` into the work buffer, in
+   C order for modes 0 and 2 (whose unfoldings are a C and a Fortran view)
+   and mode-1 first for mode 1; ``w_k``, the fold of
+   ``truncated_svt(unfold_k(z), trunc_k, 1/3)``, a view of the SVT output in
+   z's layout; ``s += w_k`` (mode 0 assigns) and ``t[k] += w_k``. Each
+   ``w_k`` reads only the previous m and its own dual;
+2. ``update_m``: ``m_new = s / (3 rho)``, observed entries overwritten with
+   the input;
 3. the convergence ratio, with ``m_new - m_old`` in the old m buffer;
 4. ``update_t``: ``t[k] -= rho * m_new`` via that buffer, which becomes ``s``;
 5. the penalty schedule ``rho = min(rho_mult * rho, rho_max)``.
+
+The textbook step thresholds ``m - t[k] / rho`` at ``(1/3) / rho`` to get
+``x_k``. The SVT is positively homogeneous, ``rho * SVT_tau(z) =
+SVT_{rho tau}(rho z)``, so ``w_k = rho * x_k`` is the SVT of ``rho * m - t[k]``
+at the fixed threshold 1/3, and ``w_k`` is exactly the x half of the dual step.
+This changes the iterates by rounding only; the kernel's noise floor is
+relative to the largest singular value, so it holds for data in any units.
 
 The textbook consensus step ``m = mean_k(x_k) + mean_k(t[k]) / rho`` has a dual
 term that is zero: the duals start at zero, and on the missing entries, where
@@ -96,24 +105,25 @@ class SolverResult:
 
 
 def update_x(s, work, m, t, rho, truncs):
-    """``s = sum_k x_k`` and ``t[k] += rho * x_k``; ``work`` is a flat ``m.size`` buffer."""
-    tau = (1.0 / len(MODES)) / rho  # every mode weighs 1/3; update_m divides by the same count
-    s.fill(0.0)
+    """``s = rho * sum_k x_k`` and ``t[k] += rho * x_k``; ``work`` is a flat ``m.size`` buffer."""
+    tau = 1.0 / len(MODES)  # every mode weighs 1/3; update_m divides by the same count
     for mode in MODES:
         z = fold(work.reshape(m.shape[1], -1), 1, m.shape) if mode == 1 else work.reshape(m.shape)
-        np.divide(t[mode], rho, out=z)
-        np.subtract(m, z, out=z)
-        x_k = fold(truncated_svt(unfold(z, mode), truncs[mode], tau), mode, m.shape)
-        s += x_k
-        np.multiply(x_k, rho, out=z)
-        del x_k  # free the SVT output before the next mode's SVT: one tensor less at peak
-        t[mode] += z
+        np.multiply(m, rho, out=z)
+        z -= t[mode]
+        w = fold(truncated_svt(unfold(z, mode), truncs[mode], tau), mode, m.shape)
+        if mode == 0:
+            s[...] = w
+        else:
+            s += w
+        t[mode] += w
+        del w  # free the SVT output before the next mode's SVT: one tensor less at peak
 
 
-def update_m(s, y, mask):
-    """Consensus average ``s / 3`` of the x tensors in place, observed entries pinned to y."""
-    s /= len(MODES)
-    np.copyto(s, y, where=mask)
+def update_m(s, y, mask, rho):
+    """Consensus average ``s / (3 rho)`` of the x tensors in place, observed entries pinned to y."""
+    s /= len(MODES) * rho
+    np.putmask(s, mask, y)
 
 
 def update_t(t, m, rho, scratch):
@@ -162,7 +172,7 @@ def solve(y, mask, config):
     converged = False
     for it in range(1, config.max_iter + 1):
         update_x(s, work, m, t, rho, truncs)
-        update_m(s, y, mask)
+        update_m(s, y, mask, rho)
         np.subtract(s, m, out=m)
         ratio = frobenius_norm(m) / obs_norm
         update_t(t, s, rho, m)

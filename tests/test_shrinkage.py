@@ -29,13 +29,24 @@ def tnn_objective(x, z, trunc, tau):
 DIAG31 = np.diag([3.0, 1.0])
 
 
-def formula_svt(matrix, trunc, tau):
-    """Truncated SVT as its own formula: shrink ``sigma[trunc:]`` only, then rebuild."""
-    u, sigma, vt = thin_svd(matrix)
+def formula_svt(matrix, trunc, tau, right=False):
+    """Truncated SVT as its own formula: shrink ``sigma[trunc:]`` only, then rebuild.
+
+    The factors are ``thin_svd(wide, right)`` of the matrix turned wide side
+    up; ``right=True`` is LAPACK alone, the oracle. Without a right factor
+    (the Gram route) the rebuild is ``u diag(shrunk / sigma) u^T`` times the
+    matrix.
+    """
+    tall = matrix.shape[0] > matrix.shape[1]
+    u, sigma, vt = thin_svd(matrix.T if tall else matrix, right)
     shrunk = sigma.copy()
     shrunk[trunc:] = np.maximum(sigma[trunc:] - tau, 0.0)
     k = np.count_nonzero(shrunk)
-    return (u[:, :k] * shrunk[:k]) @ vt[:k]
+    if vt is None:
+        p = (u[:, :k] * (shrunk[:k] / sigma[:k])) @ u[:, :k].T
+        return matrix @ p if tall else p @ matrix
+    us = u[:, :k] * shrunk[:k]
+    return vt[:k].T @ us.T if tall else us @ vt[:k]
 
 
 def with_spectrum(rows, cols, sigma, seed):
@@ -78,6 +89,15 @@ class TestThinSvd:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             thin_svd(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("right", [True, False])
+    def test_noise_floor_is_relative(self, right):
+        # only a value below 1e-12 of the largest is zeroed, in any units
+        a = with_spectrum(4, 12, [3.0, 2.0, 1.0, 1e-13], seed=34)
+        for scale in (1.0, 2.0**-60, 2.0**60):
+            _, sigma, _ = thin_svd(a * scale, right=right)
+            assert sigma[-1] == 0.0
+            assert np.allclose(sigma[:3], [3.0 * scale, 2.0 * scale, scale], rtol=1e-9, atol=0)
 
     @given(
         rows=st.integers(1, 12),
@@ -124,26 +144,93 @@ class TestThinSvd:
 
     def test_ill_conditioned_falls_back_to_lapack(self, monkeypatch):
         calls = []
-        lapack_svd = np.linalg.svd
+        for name in ("svd", "eigh"):
+            lapack = getattr(np.linalg, name)
 
-        def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return lapack_svd(*args, **kwargs)
+            def counting(a, *args, _name=name, _lapack=lapack, **kwargs):
+                calls.append((_name, a.shape))
+                return _lapack(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+            monkeypatch.setattr(np.linalg, name, counting)
         sigma = np.logspace(0, -6, 40)
         a = with_spectrum(40, 400, sigma, seed=31)
         out = truncated_svt(a, 3, 1e-4)
-        # the Cholesky factor may or may not exist; the matrix's own SVD comes last
-        assert calls[-1] == (40, 400) and set(calls[:-1]) <= {(40, 40)}
-        assert np.array_equal(out, formula_svt(a, 3, 1e-4))
+        # the Gram matrix's eigh fails the guard; the matrix's own SVD follows, once
+        assert calls == [("eigh", (40, 40)), ("svd", (40, 400))]
+        assert np.array_equal(out, formula_svt(a, 3, 1e-4, right=True))
 
         calls.clear()
         sigma = np.logspace(0, -3, 40)
         a = with_spectrum(40, 400, sigma, seed=32)
         out = truncated_svt(a, 3, 1e-2)
-        assert calls == [(40, 40)]
-        assert np.linalg.norm(out - formula_svt(a, 3, 1e-2)) <= 1e-9 * np.linalg.norm(a)
+        assert calls == [("eigh", (40, 40))]
+        assert np.linalg.norm(out - formula_svt(a, 3, 1e-2, right=True)) <= 1e-9 * np.linalg.norm(a)
+
+    @given(
+        rows=st.integers(1, 12),
+        excess=st.sampled_from([-1, 0, 1, 5, 40]),
+        tall=st.booleans(),
+        fortran=st.booleans(),
+        cond=st.sampled_from([1.0, 10.0, 1e3, 1e5, 1e8, "rank_deficient", "zero"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=12, excess=0, tall=False, fortran=False, cond=1e3, seed=0)
+    @example(rows=12, excess=-1, tall=False, fortran=False, cond=1e3, seed=1)
+    @example(rows=6, excess=40, tall=False, fortran=True, cond=1e5, seed=6)
+    @example(rows=5, excess=5, tall=False, fortran=False, cond="rank_deficient", seed=3)
+    @settings(max_examples=300, deadline=None)
+    def test_left_factor_matches_lapack(self, rows, excess, tall, fortran, cond, seed):
+        # cols = 2 * rows + excess puts a wide matrix on either side of the
+        # Gram route's 2:1 boundary (a tall one never takes it), and cond on
+        # either side of its guard, sigma_min / sigma_max > GRAM_RCOND = 1e-4
+        shape = (rows, max(1, 2 * rows + excess))
+        if tall:
+            shape = shape[::-1]
+        p = min(shape)
+        rng = np.random.default_rng(seed)
+        # the top k values lie in [2, 3] and the other p - k at most 1, so
+        # the projector on the top k left singular vectors is well defined;
+        # sigma_min / sigma_max is then at least 3.3e-4, at most 3e-5, or 0
+        k = int(rng.integers(0, p))
+        top = np.sort(rng.uniform(2.0, 3.0, k))[::-1]
+        if cond == "zero":
+            k, sigma_in = 0, np.zeros(p)
+        elif cond == "rank_deficient":
+            sigma_in = np.r_[top, np.geomspace(1.0, 1e-2, p - k)[:-1], 0.0]
+        else:
+            sigma_in = np.r_[top, np.geomspace(1.0, 3.0 / cond, p - k)]
+        a = with_spectrum(*shape, sigma_in, seed)
+        if fortran:
+            a = np.ascontiguousarray(a.T).T
+        u_ref, sigma_ref, vt_ref = thin_svd(a)
+
+        u, sigma, vt = thin_svd(a, right=False)
+        gram = 0 < 2 * shape[0] <= shape[1] and sigma_in[-1] > lrtc.shrinkage.GRAM_RCOND * sigma_in[0]
+        assert (vt is None) == gram
+        if not gram:  # one LAPACK call, the oracle's
+            for got, ref in zip((u, sigma, vt), (u_ref, sigma_ref, vt_ref)):
+                assert np.array_equal(got, ref)
+            return
+        assert sigma.shape == sigma_ref.shape and (np.diff(sigma) <= 0).all()
+        assert np.abs(sigma - sigma_ref).max() <= 1e-9 * sigma_ref[0]
+        kept = u[:, :k] @ u[:, :k].T - u_ref[:, :k] @ u_ref[:, :k].T
+        assert np.abs(kept).max() <= 1e-9 * sigma_ref[0]
+
+    def test_left_factor_route_refusals(self, monkeypatch):
+        with pytest.raises(InvalidInputError):
+            thin_svd(np.array([[1.0, np.inf, 0.0]]), right=False)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the Gram route was entered")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        # a finite matrix whose Gram matrix overflows gets LAPACK's factors
+        a = with_spectrum(4, 12, [3.0, 2.0, 1.0, 0.5], seed=33) * 1e200
+        for got, ref in zip(thin_svd(a, right=False), thin_svd(a)):
+            assert np.array_equal(got, ref)
+        # an empty matrix is 2:1 wide, but has no Gram matrix to factor
+        u, sigma, vt = thin_svd(np.zeros((0, 5)), right=False)
+        assert (u.shape, sigma.shape, vt.shape) == ((0, 0), (0,), (0, 5))
 
 
 class TestTruncationForMode:
@@ -227,14 +314,16 @@ class TestTruncatedSvt:
     @example(rows=5, cols=5, kind="rank_deficient", seed=2, trunc_frac=0.0, tau=0.0)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_formula_bit_for_bit(self, rows, cols, kind, seed, trunc_frac, tau):
-        # both orientations on the LAPACK route, which this guard forces (the
-        # Gram route builds no right factor, so test_matches_lapack_on_both_routes
-        # checks it to a tolerance); tau = inf shrinks all but the kept values to zero
+        # both orientations on both routes: as thin_svd chooses, which for a
+        # matrix at least 2:1 and well conditioned is the Gram route, and on
+        # LAPACK alone, which this guard forces; tau = inf shrinks all but the
+        # kept values to zero
         p = min(rows, cols)
         z = with_spectrum(rows, cols, spectrum(kind, p, np.random.default_rng(seed)), seed)
         trunc = int(trunc_frac * p)
+        assert np.array_equal(truncated_svt(z, trunc, tau), formula_svt(z, trunc, tau))
         with mock.patch.object(lrtc.shrinkage, "GRAM_RCOND", 2.0):
-            assert np.array_equal(truncated_svt(z, trunc, tau), formula_svt(z, trunc, tau))
+            assert np.array_equal(truncated_svt(z, trunc, tau), formula_svt(z, trunc, tau, right=True))
 
     @pytest.mark.parametrize("rcond", [lrtc.shrinkage.GRAM_RCOND, 2.0])
     def test_keeps_the_memory_order(self, monkeypatch, rcond):
@@ -252,7 +341,7 @@ class TestTruncatedSvt:
         assert x.flags.c_contiguous
         expected = fold(truncated_svt(np.ascontiguousarray(f), 2, 0.5), 2, dims)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
-        for a in (z[0], z[0].T):
+        for a in (z[0], z[0].T, np.ascontiguousarray(z[0].T)):
             assert np.isfortran(truncated_svt(a, 1, 0.5)) == np.isfortran(a)
 
     @pytest.mark.parametrize("shape", [(5, 8), (8, 5)])
