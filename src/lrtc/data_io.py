@@ -23,11 +23,9 @@ Python float, the shortest text that reads back to the same double.
 
 Files are read as UTF-8; a byte that is not UTF-8 is a parse error naming
 the file but no line. numpy's C parser reads the body of a regular file
-once, as runs of whole lines read by byte offset: one run per forked worker
-when ``_fork_workers`` allows, else one run in the calling process. On any
-doubt (see ``_read_table``) the line parser reads the body a line at a time
-and raises every error with its ``path:line:column``. Every route gives the
-same arrays.
+once, as runs of whole lines read by byte offset. On any doubt (see
+``_read_table``) the line parser reads the body a line at a time and raises
+every error with its ``path:line:column``. Every route gives the same arrays.
 
 Both routes give one flat array of the values, NaN where an entry is
 missing, and ``_tensor_pair`` alone turns it into the tensor and its mask. The
@@ -36,9 +34,9 @@ only as values arrive. So a header or (days, intervals) pair that promises
 more values than the file holds allocates no more than the file fills, and is
 a parse error.
 
-A large tensor is formatted in forked worker processes on every core the
-process may use, when ``_fork_workers`` allows; the bytes written do not
-depend on the route or the core count.
+A large body is read, and a large tensor formatted, in runs that
+``_fanout.ordered_map`` spreads over the cores; the arrays read and the bytes
+written do not depend on the route or the core count.
 
 A save writes a temporary file beside its target and renames it over the
 target only once every line is written, so a failed save leaves the previous
@@ -58,78 +56,28 @@ import io
 import math
 import os
 import stat
-import sys
-import threading
 import warnings
 from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
+from . import _fanout
 from .errors import ConfigError, InvalidInputError, ParseError
 from .tensor_ops import _check_pair, _check_tensor3, _is_integer
 
 FORMATS = ("dense", "csv")
 
 
-# Below this many values a load or save runs in the calling process: pool
-# start-up and teardown (about 10 ms) cost as much as formatting 10k values.
-_PARALLEL_MIN_VALUES = 2**17
 # More chunks than workers, so that a worker that finishes early takes
 # another, and the writer writes early chunks while the workers format later
 # ones.
 _CHUNKS_PER_WORKER = 4
-# The state a forked worker inherits from the job that started it.
-_inherited = None
 # A dense body of more bytes than this per value its header promises goes to
 # the line parser, which stops one value past the count: the ``repr`` of a
 # double is at most 24 characters, plus a separator.
 _REPR_BYTES = 25
 # Bytes a body run (``_Run``) and the newline search read at a time.
 _SCAN_BYTES = 1 << 16
-
-
-def _fork_workers(values, most):
-    """How many forked worker processes a job of ``values`` values, cut into
-    at most ``most`` chunks, runs on; below 2 it runs in the calling process.
-
-    The one home of the rule, which loads and saves follow: a job of at least
-    ``_PARALLEL_MIN_VALUES`` values, on Linux, while no other Python thread is
-    alive (forking one is unsafe), gets ``min(usable cores, most)`` workers.
-    """
-    if (
-        values >= _PARALLEL_MIN_VALUES
-        and sys.platform.startswith("linux")
-        and threading.active_count() == 1
-    ):
-        return min(len(os.sched_getaffinity(0)), most)
-    return 1
-
-
-def _inherit(state):
-    global _inherited
-    _inherited = state
-
-
-@contextlib.contextmanager
-def _fork_map(workers, task, state, *iterables):
-    """The results of ``map(task, *iterables)``, in order, computed in
-    ``workers`` forked processes that live until the block ends.
-
-    The workers inherit ``state`` (in ``_inherited``) through the fork, so
-    nothing is pickled but the arguments and the results. A task that raises
-    re-raises when its result is read; a worker that dies raises
-    ``BrokenExecutor``.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_inherit,
-        initargs=(state,),
-    ) as pool:
-        yield pool.map(task, *iterables)
 
 
 @contextlib.contextmanager
@@ -253,7 +201,7 @@ def _read_table(fd, start, delimiter, fits):
     into one flat array, NaN where an entry is missing; None when the line
     parser must read them.
 
-    When ``_fork_workers`` allows (a value per ``_REPR_BYTES`` bytes), the
+    When ``_fanout.workers`` allows (a value per ``_REPR_BYTES`` bytes), the
     body is cut just after ``\\n`` bytes into one run of whole lines per
     forked worker; it is read as one run in this process when the job stays
     here, when the cuts make fewer than two runs, or when a worker dies.
@@ -269,23 +217,24 @@ def _read_table(fd, start, delimiter, fits):
     if not stat.S_ISREG(info.st_mode):
         return None
     stop = info.st_size
-    workers = _fork_workers((stop - start) // _REPR_BYTES, math.inf)
+    workers = _fanout.workers((stop - start) // _REPR_BYTES, math.inf)
     splits = (start + (stop - start) * k // workers for k in range(1, workers))
-    cuts = sorted({start, stop, *(_after_newline(fd, split, stop) for split in splits)})
-    task = functools.partial(_run_table, fd, delimiter)
+    # every cut lies past ``start``, so an empty body is one empty run
+    cuts = [start, *sorted({stop, *(_after_newline(fd, split, stop) for split in splits)})]
+    run = functools.partial(_run_table, fd, delimiter)
     try:
-        table = None
         if len(cuts) > 2:
             # a first line the C parser refuses (an empty CSV cell, say) starts no pool
-            task(start, _after_newline(fd, start, stop))
-            with contextlib.suppress(BrokenExecutor):
-                with _fork_map(len(cuts) - 1, task, None, cuts[:-1], cuts[1:]) as tables:
-                    tables = list(tables)
-                # a run of blank lines has no width; runs of different widths
-                # raise ValueError, as one parse of the whole body would
-                table = np.concatenate([t for t in tables if t.size] or tables[:1])
-        if table is None:
-            table = task(start, stop)
+            run(start, _after_newline(fd, start, stop))
+        try:
+            with _fanout.ordered_map(run, cuts, len(cuts) - 1) as tables:
+                tables = list(tables)
+        except BrokenExecutor:
+            tables = [run(start, stop)]
+        # a run of blank lines has no width; runs of different widths raise
+        # ValueError, as one parse of the whole body would
+        tables = [t for t in tables if t.size] or tables[:1]
+        table = tables[0] if len(tables) == 1 else np.concatenate(tables)
     except ValueError:
         return None
     if not fits(table) or np.isinf(table).any():
@@ -377,27 +326,21 @@ def _format_slabs(slabs, masks, sep, start, stop):
     return "".join(parts)
 
 
-def _format_chunk(start, stop):
-    return _format_slabs(*_inherited, start, stop)
-
-
 def _write_slabs(fh, slabs, masks, sep):
     """Write each matrix ``slabs[i]`` as lines of ``sep``-joined values.
 
-    When ``_fork_workers`` allows, the slabs are cut into a few contiguous
+    When ``_fanout.workers`` allows, the slabs are cut into a few contiguous
     runs, which forked workers format while the parent writes the returned
     text in order. Otherwise they are formatted in the calling process one
     slab at a time, so the Python floats alive at once stay few. The bytes
     written are the same on either route and for any core count.
     """
-    workers = _fork_workers(slabs.size, len(slabs))
-    if workers < 2:
-        for i in range(len(slabs)):
-            fh.write(_format_slabs(slabs, masks, sep, i, i + 1))
-        return
-    chunks = min(len(slabs), _CHUNKS_PER_WORKER * workers)
-    bounds = [len(slabs) * k // chunks for k in range(chunks + 1)]
-    with _fork_map(workers, _format_chunk, (slabs, masks, sep), bounds[:-1], bounds[1:]) as texts:
+    workers = _fanout.workers(slabs.size, len(slabs))
+    chunks = len(slabs) if workers < 2 else min(len(slabs), _CHUNKS_PER_WORKER * workers)
+    # a tensor with no slabs makes no chunks
+    bounds = [len(slabs) * k // max(chunks, 1) for k in range(chunks + 1)]
+    format_run = functools.partial(_format_slabs, slabs, masks, sep)
+    with _fanout.ordered_map(format_run, bounds, workers) as texts:
         for text in texts:
             fh.write(text)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor_ops import _is_integer
+from .tensor_ops import _check_dims, _is_integer
 
 PATTERNS = ("rm", "nm")
 
@@ -47,14 +47,14 @@ def generate_rm_mask(dims, rate, seed):
     _check_rate(rate)
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    return rng.random(tuple(dims)) >= rate
+    return rng.random(_check_dims(dims)) >= rate
 
 
 def generate_nm_mask(dims, rate, seed):
     """Each (location, day) pair loses its whole mode-3 fiber with probability ``rate``."""
     _check_rate(rate)
     check_seed(seed)
-    dims = tuple(dims)
+    dims = _check_dims(dims)
     rng = np.random.default_rng(seed)
     dropped = rng.random(dims[:2]) < rate
     return np.broadcast_to(~dropped[:, :, None], dims).copy()

@@ -1,9 +1,11 @@
 import concurrent.futures
+import multiprocessing
 import os
 import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,7 @@ from lrtc import (
     load_tensor,
     save_tensor,
 )
-from lrtc import data_io
+from lrtc import _fanout, data_io
 from lrtc.cli import main
 from lrtc.data_io import load_dense, load_matrix_csv, save_dense, save_matrix_csv
 
@@ -680,11 +682,18 @@ def test_writers_match_per_scalar_oracle(pair, tmp_path):
         assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 4), (2, 3, 0)])
+def test_dense_writer_matches_per_scalar_oracle_on_an_empty_tensor(tmp_path, shape):
+    save_dense(tmp_path / "new", np.zeros(shape))
+    _oracle_save_dense(tmp_path / "old", np.zeros(shape))
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
 def _route_every_job_to_pool(monkeypatch, cores, min_values=0):
     """Send loads and saves of ``min_values`` values or more to the worker
     pool, as if ``cores`` cores were usable; returns the worker count of every
     pool started."""
-    monkeypatch.setattr(data_io, "_PARALLEL_MIN_VALUES", min_values)
+    monkeypatch.setattr(_fanout, "MIN_VALUES", min_values)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     started = []
     real = concurrent.futures.ProcessPoolExecutor
@@ -716,7 +725,7 @@ def test_parallel_writers_match_per_scalar_oracle(pair, cores, per_worker, tmp_p
 def _refuse_pool(monkeypatch):
     """Make every load and save large enough for the pool on two cores, and
     starting one an error."""
-    monkeypatch.setattr(data_io, "_PARALLEL_MIN_VALUES", 0)
+    monkeypatch.setattr(_fanout, "MIN_VALUES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def refuse(*args, **kwargs):
@@ -797,7 +806,7 @@ def _large_file(tmp_path, fmt, newline):
 def test_large_file_is_parsed_in_workers_into_the_same_arrays(tmp_path, monkeypatch, fmt, newline):
     path, load, oracle, extra = _large_file(tmp_path, fmt, newline)
     # the file's size, at the real threshold, sends it to the workers
-    started = _route_every_job_to_pool(monkeypatch, 2, data_io._PARALLEL_MIN_VALUES)
+    started = _route_every_job_to_pool(monkeypatch, 2, _fanout.MIN_VALUES)
     parsed = []
     real = data_io._read_table
     monkeypatch.setattr(data_io, "_read_table", lambda *a: parsed.append(real(*a)) or parsed[-1])
@@ -824,7 +833,7 @@ def test_large_file_the_c_parser_refuses_is_read_by_the_line_parser(tmp_path, mo
         tokens = body.split()
         lines = [head] + [" ".join(tokens[i : i + 7]) for i in range(0, len(tokens), 7)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    started = _route_every_job_to_pool(monkeypatch, 2, data_io._PARALLEL_MIN_VALUES)
+    started = _route_every_job_to_pool(monkeypatch, 2, _fanout.MIN_VALUES)
     parsed = []
     real = data_io._read_table
     monkeypatch.setattr(data_io, "_read_table", lambda *a: parsed.append(real(*a)) or parsed[-1])
@@ -992,6 +1001,54 @@ def test_failed_worker_hands_the_load_to_the_serial_read(tmp_path, monkeypatch, 
     monkeypatch.setattr(np, "loadtxt", _c_parser_then(fault, calls))
     assert _outcome(load, path, *extra) == expected
     assert calls == [2]
+
+
+def _first_run_refused_while_the_second_sleeps(tmp_path, monkeypatch):
+    """A dense file with a bad token on body line 2, read in two forked runs
+    by stand-in C parsers: the worker on the first run refuses it at once,
+    the other sleeps for a minute. Returns the file, the oracle's outcome and
+    the worker count of every pool started."""
+    path = tmp_path / "t.txt"
+    save_dense(path, np.arange(24.0).reshape(2, 3, 4))
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = "x" + lines[2][lines[2].index(" ") :]
+    path.write_text("".join(lines), encoding="utf-8")
+    expected = _outcome(_oracle_load_dense, path)
+    assert expected[0] == "ParseError" and ":3:1: cannot parse 'x'" in expected[1]
+    parent, real, body = os.getpid(), data_io._run_table, len(lines[0])
+
+    def run_table(fd, delimiter, start, stop):
+        if os.getpid() == parent:
+            return real(fd, delimiter, start, stop)
+        if start == body:
+            raise ValueError("parsing failed")
+        time.sleep(60)
+        return real(fd, delimiter, start, stop)
+
+    started = _route_every_job_to_pool(monkeypatch, 2)
+    monkeypatch.setattr(data_io, "_run_table", run_table)
+    return path, expected, started
+
+
+def test_early_refusal_ends_the_other_workers(tmp_path, monkeypatch):
+    path, expected, started = _first_run_refused_while_the_second_sleeps(tmp_path, monkeypatch)
+    begun = time.monotonic()
+    assert _outcome(load_dense, path) == expected
+    assert time.monotonic() - begun < 10
+    assert started == [2]
+
+
+def test_early_refusal_ends_only_the_pools_workers(tmp_path, monkeypatch):
+    path, expected, _ = _first_run_refused_while_the_second_sleeps(tmp_path, monkeypatch)
+    child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,), daemon=True)
+    child.start()
+    try:
+        assert _outcome(load_dense, path) == expected
+        assert child.is_alive()
+    finally:
+        child.terminate()
+        child.join(timeout=10)
+    assert not child.is_alive()
 
 
 def _format_in_worker_then(fault):

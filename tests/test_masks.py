@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lrtc import (
     ConfigError,
+    DimensionError,
     MissingScenario,
     generate_nm_mask,
     generate_rm_mask,
@@ -102,6 +103,14 @@ class TestMissingScenario:
         ):
             with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
                 make()
+
+
+@pytest.mark.parametrize("generate", [generate_rm_mask, generate_nm_mask])
+@pytest.mark.parametrize("dims", [(-1, 2, 3), (2.5, 3, 4), (True, 2, 2), (3, 4), (2, 3, 4, 5)])
+def test_dims_must_be_three_positive_integers(generate, dims):
+    # the dims rule of every other entry point, not numpy's errors or a 2-D mask
+    with pytest.raises(DimensionError, match="dims must be three positive integers"):
+        generate(dims, 0.4, 0)
 
 
 @given(
