@@ -204,14 +204,14 @@ def _read_table(fd, start, delimiter, fits):
     When ``_fanout.workers`` allows (a value per ``_REPR_BYTES`` bytes), the
     body is cut just after ``\\n`` bytes into one run of whole lines per
     forked worker; it is read as one run in this process when the job stays
-    here, when the cuts make fewer than two runs, or when a worker dies.
+    here or when the cuts make fewer than two runs.
 
     The C parser reads the tokens Python ``float`` reads to the same doubles,
     except ``1_000`` and non-ASCII digits, on which it raises as on any bad
     token, byte or ragged table; and it reads ``+nan``/``-nan`` as NaN. So it
     is None for a file that is not regular (a FIFO cannot be read twice), when
-    the parser or ``_Run`` raises, when ``fits(table)`` is false, and for an
-    infinite value.
+    the parser or ``_Run`` raises, when a worker dies, when ``fits(table)`` is
+    false, and for an infinite value.
     """
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode):
@@ -221,21 +221,14 @@ def _read_table(fd, start, delimiter, fits):
     splits = (start + (stop - start) * k // workers for k in range(1, workers))
     # every cut lies past ``start``, so an empty body is one empty run
     cuts = [start, *sorted({stop, *(_after_newline(fd, split, stop) for split in splits)})]
-    run = functools.partial(_run_table, fd, delimiter)
     try:
-        if len(cuts) > 2:
-            # a first line the C parser refuses (an empty CSV cell, say) starts no pool
-            run(start, _after_newline(fd, start, stop))
-        try:
-            with _fanout.ordered_map(run, cuts, len(cuts) - 1) as tables:
-                tables = list(tables)
-        except BrokenExecutor:
-            tables = [run(start, stop)]
+        with _fanout.ordered_map(functools.partial(_run_table, fd, delimiter), cuts, workers) as tables:
+            tables = list(tables)
         # a run of blank lines has no width; runs of different widths raise
         # ValueError, as one parse of the whole body would
         tables = [t for t in tables if t.size] or tables[:1]
         table = tables[0] if len(tables) == 1 else np.concatenate(tables)
-    except ValueError:
+    except (ValueError, BrokenExecutor):
         return None
     if not fits(table) or np.isinf(table).any():
         return None
@@ -337,12 +330,10 @@ def _write_slabs(fh, slabs, masks, sep):
     """
     workers = _fanout.workers(slabs.size, len(slabs))
     chunks = len(slabs) if workers < 2 else min(len(slabs), _CHUNKS_PER_WORKER * workers)
-    # a tensor with no slabs makes no chunks
-    bounds = [len(slabs) * k // max(chunks, 1) for k in range(chunks + 1)]
+    bounds = [len(slabs) * k // chunks for k in range(chunks + 1)]
     format_run = functools.partial(_format_slabs, slabs, masks, sep)
     with _fanout.ordered_map(format_run, bounds, workers) as texts:
-        for text in texts:
-            fh.write(text)
+        fh.writelines(texts)
 
 
 @contextlib.contextmanager

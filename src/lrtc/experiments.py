@@ -152,16 +152,6 @@ def cross_validate_theta(
     return select_best_theta(scores), scores
 
 
-def _report_sort_key(report):
-    return (
-        report.scenario.pattern,
-        report.scenario.rate,
-        report.scenario.seed,
-        report.solver,
-        report.theta,
-    )
-
-
 def run_benchmark(data, native_mask, scenarios, solver_runs, jobs=1):
     """Run every (scenario, solver config) pair and return sorted reports.
 
@@ -184,7 +174,7 @@ def run_benchmark(data, native_mask, scenarios, solver_runs, jobs=1):
             reports = list(pool.map(_one, tasks))
     else:
         reports = [_one(task) for task in tasks]
-    return sorted(reports, key=_report_sort_key)
+    return sorted(reports, key=lambda r: _report_row(r)[:5])
 
 
 def _report_row(report):

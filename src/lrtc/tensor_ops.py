@@ -1,6 +1,7 @@
 """Dense third-order tensor algebra: unfolding, folding, the tensor/mask pair check, norms.
 
-Tensors are numpy float arrays of shape ``(n1, n2, n3)``. Observation masks are
+Tensors are numpy float arrays of shape ``(n1, n2, n3)``, no dimension zero,
+as no file format holds an empty tensor. Observation masks are
 boolean arrays of the same shape, ``True`` where an entry is observed. The
 canonical linear order of entries is C/row-major over ``(i1, i2, i3)``, and
 unfoldings keep it. Missing-ness never lives inside a tensor as NaN; it lives
@@ -25,8 +26,8 @@ _BACK = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
 
 def _check_tensor3(tensor):
     tensor = np.asarray(tensor, dtype=float)
-    if tensor.ndim != 3:
-        raise DimensionError(f"expected a third-order tensor, got ndim={tensor.ndim}")
+    if tensor.ndim != 3 or 0 in tensor.shape:
+        raise DimensionError(f"expected a third-order tensor of positive dims, got {tensor.shape}")
     return tensor
 
 

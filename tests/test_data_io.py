@@ -1,7 +1,8 @@
-import concurrent.futures
 import multiprocessing
+import multiprocessing.connection
 import os
 import stat
+import struct
 import subprocess
 import sys
 import threading
@@ -682,60 +683,77 @@ def test_writers_match_per_scalar_oracle(pair, tmp_path):
         assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
-@pytest.mark.parametrize("shape", [(0, 3, 4), (2, 3, 0)])
-def test_dense_writer_matches_per_scalar_oracle_on_an_empty_tensor(tmp_path, shape):
-    save_dense(tmp_path / "new", np.zeros(shape))
-    _oracle_save_dense(tmp_path / "old", np.zeros(shape))
-    assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+@pytest.mark.parametrize("fmt", ["dense", "csv"])
+@pytest.mark.parametrize("shape", [(0, 3, 4), (2, 0, 4), (2, 3, 0)])
+def test_writers_refuse_a_zero_length_dimension(tmp_path, shape, fmt):
+    # no loader reads such a file back, so none is written
+    for mask in (None, np.ones(shape, bool)):
+        with pytest.raises(DimensionError, match="third-order"):
+            save_tensor(tmp_path / "t", np.zeros(shape), mask, fmt=fmt)
+    assert list(tmp_path.iterdir()) == []
 
 
-def _route_every_job_to_pool(monkeypatch, cores, min_values=0):
-    """Send loads and saves of ``min_values`` values or more to the worker
-    pool, as if ``cores`` cores were usable; returns the worker count of every
-    pool started."""
+_fork = os.fork
+
+
+def _route_every_job_to_workers(monkeypatch, cores, min_values=0):
+    """Send loads and saves of ``min_values`` values or more to forked
+    workers, as if ``cores`` cores were usable; returns a list that gains an
+    entry for every process forked."""
     monkeypatch.setattr(_fanout, "MIN_VALUES", min_values)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
+    forks = []
 
-    def spy(max_workers, **kwargs):
-        started.append(max_workers)
-        return real(max_workers, **kwargs)
+    def fork():
+        forks.append(None)
+        return _fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-    return started
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _die_while_sending():
+    """From now on in this process, a send writes a header that promises
+    1 MB and ten bytes of it, then ends the process, as a worker killed while
+    it sends does."""
+
+    def half_sent(connection, buffer):
+        os.write(connection.fileno(), struct.pack("!i", 1 << 20) + bytes(10))
+        os._exit(1)
+
+    multiprocessing.connection.Connection._send_bytes = half_sent
 
 
 @given(pair=written_tensors(), cores=st.sampled_from([1, 2, 3]), per_worker=st.sampled_from([1, 4]))
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_parallel_writers_match_per_scalar_oracle(pair, cores, per_worker, tmp_path, monkeypatch):
     tensor, mask = pair
-    started = _route_every_job_to_pool(monkeypatch, cores)
+    forks = _route_every_job_to_workers(monkeypatch, cores)
     # one chunk per worker puts several slabs in a chunk
     monkeypatch.setattr(data_io, "_CHUNKS_PER_WORKER", per_worker)
     for save, oracle in _WRITERS:
         save(tmp_path / "new", tensor, mask)
         oracle(tmp_path / "old", tensor, mask)
         assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
-    # one pool per save, with no more workers than slabs; one worker is no pool
+    # no more workers than slabs per save; one worker forks nothing
     workers = min(cores, tensor.shape[0])
-    assert started == ([workers] * len(_WRITERS) if workers > 1 else [])
+    assert len(forks) == (workers * len(_WRITERS) if workers > 1 else 0)
 
 
-def _refuse_pool(monkeypatch):
-    """Make every load and save large enough for the pool on two cores, and
-    starting one an error."""
+def _refuse_forks(monkeypatch):
+    """Make every load and save large enough for workers on two cores, and
+    forking one an error."""
     monkeypatch.setattr(_fanout, "MIN_VALUES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("forked a pool where the job had to stay serial")
+    def refuse():
+        raise AssertionError("forked a worker where the job had to stay serial")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
 
 
 def test_save_while_another_thread_lives_is_serial(tmp_path, monkeypatch):
-    _refuse_pool(monkeypatch)
+    _refuse_forks(monkeypatch)
     rng = np.random.default_rng(4)
     tensor = rng.standard_normal((5, 3, 4))
     mask = rng.random(tensor.shape) < 0.7
@@ -782,9 +800,10 @@ def test_line_parser_matches_per_token_oracle(text, case, tmp_path, monkeypatch)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_forked_loaders_match_per_token_oracle(text, case, cores, tmp_path, monkeypatch):
     # every body is parsed in workers, cut wherever its newlines fall
-    started = _route_every_job_to_pool(monkeypatch, cores)
+    forks = _route_every_job_to_workers(monkeypatch, cores)
     _assert_loaders_match_oracle(tmp_path, text, case)
-    assert all(2 <= workers <= cores for workers in started)
+    # no more workers than cores for each of the two loads
+    assert len(forks) <= cores * len(_LOADERS)
 
 
 def _large_file(tmp_path, fmt, newline):
@@ -806,14 +825,14 @@ def _large_file(tmp_path, fmt, newline):
 def test_large_file_is_parsed_in_workers_into_the_same_arrays(tmp_path, monkeypatch, fmt, newline):
     path, load, oracle, extra = _large_file(tmp_path, fmt, newline)
     # the file's size, at the real threshold, sends it to the workers
-    started = _route_every_job_to_pool(monkeypatch, 2, _fanout.MIN_VALUES)
+    forks = _route_every_job_to_workers(monkeypatch, 2, _fanout.MIN_VALUES)
     parsed = []
     real = data_io._read_table
     monkeypatch.setattr(data_io, "_read_table", lambda *a: parsed.append(real(*a)) or parsed[-1])
     assert _outcome(load, path, *extra) == _outcome(oracle, path, *extra)
     # the arrays came from numpy's C parser, not from a hand-over to the line parser
     assert len(parsed) == 1 and parsed[0] is not None
-    assert started == [2]
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("fmt", ["dense", "csv"])
@@ -833,15 +852,15 @@ def test_large_file_the_c_parser_refuses_is_read_by_the_line_parser(tmp_path, mo
         tokens = body.split()
         lines = [head] + [" ".join(tokens[i : i + 7]) for i in range(0, len(tokens), 7)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    started = _route_every_job_to_pool(monkeypatch, 2, _fanout.MIN_VALUES)
+    forks = _route_every_job_to_workers(monkeypatch, 2, _fanout.MIN_VALUES)
     parsed = []
     real = data_io._read_table
     monkeypatch.setattr(data_io, "_read_table", lambda *a: parsed.append(real(*a)) or parsed[-1])
     assert _outcome(load, path, *extra) == _outcome(oracle, path, *extra)
-    # the C parser was tried and refused the body: the CSV's first line in
-    # this process, the dense file's short last line in a worker
+    # the C parser was tried in the workers and refused the body: the CSV's
+    # first line, the dense file's short last line
     assert parsed == [None]
-    assert started == ([2] if fmt == "dense" else [])
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("before", [4, 3, 2, 1, 0])
@@ -853,12 +872,12 @@ def test_signed_nan_at_a_block_edge_of_a_workers_run_is_rejected(tmp_path, monke
     first = "1,2\n" * (len(second) // 4 + 1)
     path = tmp_path / "m.csv"
     path.write_text(first + second, encoding="utf-8")
-    started = _route_every_job_to_pool(monkeypatch, 2)
+    forks = _route_every_job_to_workers(monkeypatch, 2)
     outcome = _outcome(load_matrix_csv, path, 1, 2)
     assert outcome == _outcome(_oracle_load_matrix_csv, path, 1, 2)
     line_no = first.count("\n") + 1
     assert outcome[0] == "ParseError" and f":{line_no}:1: non-finite value '-nAn'" in outcome[1]
-    assert started == [2]
+    assert len(forks) == 2
 
 
 def test_signed_nan_text_in_a_csv_header_leaves_the_body_to_the_c_parser(tmp_path, monkeypatch):
@@ -878,13 +897,13 @@ def test_signed_nan_text_in_a_csv_header_leaves_the_body_to_the_c_parser(tmp_pat
 def test_large_file_with_lone_cr_line_ends_starts_no_pool(tmp_path, monkeypatch, fmt):
     # no \n byte to cut the body at, so it is read in this process
     path, load, oracle, extra = _large_file(tmp_path, fmt, "\r")
-    _refuse_pool(monkeypatch)
+    _refuse_forks(monkeypatch)
     assert _outcome(load, path, *extra) == _outcome(oracle, path, *extra)
 
 
 def test_dense_header_beyond_its_body_starts_no_pool(tmp_path, monkeypatch):
     # 8,000 bytes cannot hold a million values; only the line parser can say so
-    _refuse_pool(monkeypatch)
+    _refuse_forks(monkeypatch)
     path = tmp_path / "t.txt"
     path.write_text("100 100 100\n" + "1.5 2.5\n" * 1000, encoding="utf-8")
     outcome = _outcome(load_dense, path)
@@ -896,15 +915,15 @@ def test_dense_header_beyond_its_body_starts_no_pool(tmp_path, monkeypatch):
 def test_workers_end_lines_where_the_text_reader_does(tmp_path, monkeypatch, sep):
     # str.splitlines would end a line at each of these and read two good rows
     # where the text reader sees one row of three cells
-    started = _route_every_job_to_pool(monkeypatch, 2)
+    forks = _route_every_job_to_workers(monkeypatch, 2)
     path = tmp_path / "m.csv"
     path.write_text(f"1,2\n1,2{sep}3,4\n5,6\n", encoding="utf-8")
     assert _outcome(load_matrix_csv, path, 1, 2) == _outcome(_oracle_load_matrix_csv, path, 1, 2)
-    assert started == [2]
+    assert len(forks) == 2
 
 
 def test_load_while_another_thread_lives_is_serial(tmp_path, monkeypatch):
-    _refuse_pool(monkeypatch)
+    _refuse_forks(monkeypatch)
     rng = np.random.default_rng(6)
     tensor = rng.standard_normal((5, 2, 3))
     mask = rng.random(tensor.shape) < 0.7
@@ -926,7 +945,7 @@ def test_fifo_load_is_serial(tmp_path, monkeypatch):
     # a FIFO cannot be read twice, so it goes straight to the line parser
     path = tmp_path / "t.txt"
     save_dense(path, np.arange(24.0).reshape(2, 3, 4))
-    _refuse_pool(monkeypatch)
+    _refuse_forks(monkeypatch)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     feed = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
@@ -952,8 +971,9 @@ def _c_parser_then(fault, calls):
 
 def _c_parser_in_worker_then(fault, calls):
     """A stand-in for numpy's C parser that, in a forked worker, raises
-    ("worker-raise") or kills the worker ("worker-exit"); in the parent it
-    records how many lines it read, then parses them."""
+    ("worker-raise"), ends the worker ("worker-exit") or parses the lines and
+    ends the worker while it sends the table ("worker-half-sent"); in the
+    parent it records how many lines it read, then parses them."""
     parent, real = os.getpid(), np.loadtxt
 
     def loadtxt(lines, **kwargs):
@@ -963,12 +983,15 @@ def _c_parser_in_worker_then(fault, calls):
             return real(lines, **kwargs)
         if fault == "worker-exit":
             os._exit(1)
+        if fault == "worker-half-sent":
+            _die_while_sending()
+            return real(lines, **kwargs)
         raise ValueError("parsing failed")
 
     return loadtxt
 
 
-@pytest.mark.parametrize("fault", ["raise", "exit", "worker-raise", "worker-exit"])
+@pytest.mark.parametrize("fault", ["raise", "exit", "worker-raise", "worker-exit", "worker-half-sent"])
 @pytest.mark.parametrize(
     "fmt, text, error",
     [
@@ -988,14 +1011,12 @@ def test_failed_worker_hands_the_load_to_the_serial_read(tmp_path, monkeypatch, 
     calls = []
     if fault.startswith("worker"):
         # three cores cut each body into two runs, so two workers start
-        started = _route_every_job_to_pool(monkeypatch, 3)
+        forks = _route_every_job_to_workers(monkeypatch, 3)
         monkeypatch.setattr(np, "loadtxt", _c_parser_in_worker_then(fault, calls))
         assert _outcome(load, path, *extra) == expected
-        assert started == [2]
-        # the parent parses the first line before it forks; after a worker
-        # raises, only the line parser reads the body, and after a worker
-        # dies, this process's C parser reads it first
-        assert calls == ([1] if fault == "worker-raise" else [1, 2])
+        assert len(forks) == 2
+        # after a worker raises or dies, only the line parser reads the body
+        assert calls == []
         return
     # the C parser has read the whole body before the line parser takes over
     monkeypatch.setattr(np, "loadtxt", _c_parser_then(fault, calls))
@@ -1007,7 +1028,7 @@ def _first_run_refused_while_the_second_sleeps(tmp_path, monkeypatch):
     """A dense file with a bad token on body line 2, read in two forked runs
     by stand-in C parsers: the worker on the first run refuses it at once,
     the other sleeps for a minute. Returns the file, the oracle's outcome and
-    the worker count of every pool started."""
+    a list that gains an entry for every process forked."""
     path = tmp_path / "t.txt"
     save_dense(path, np.arange(24.0).reshape(2, 3, 4))
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -1025,17 +1046,17 @@ def _first_run_refused_while_the_second_sleeps(tmp_path, monkeypatch):
         time.sleep(60)
         return real(fd, delimiter, start, stop)
 
-    started = _route_every_job_to_pool(monkeypatch, 2)
+    forks = _route_every_job_to_workers(monkeypatch, 2)
     monkeypatch.setattr(data_io, "_run_table", run_table)
-    return path, expected, started
+    return path, expected, forks
 
 
 def test_early_refusal_ends_the_other_workers(tmp_path, monkeypatch):
-    path, expected, started = _first_run_refused_while_the_second_sleeps(tmp_path, monkeypatch)
+    path, expected, forks = _first_run_refused_while_the_second_sleeps(tmp_path, monkeypatch)
     begun = time.monotonic()
     assert _outcome(load_dense, path) == expected
     assert time.monotonic() - begun < 10
-    assert started == [2]
+    assert len(forks) == 2
 
 
 def test_early_refusal_ends_only_the_pools_workers(tmp_path, monkeypatch):
@@ -1058,6 +1079,9 @@ def _format_in_worker_then(fault):
         assert os.getpid() != parent, "the parent formatted a slab on the parallel route"
         if fault == "exit":
             os._exit(1)
+        if fault == "half-sent":
+            _die_while_sending()
+            return "1\n"
         raise ValueError("formatting failed")
 
     return format_slabs
@@ -1065,17 +1089,17 @@ def _format_in_worker_then(fault):
 
 class TestFailedSave:
     @pytest.mark.parametrize("fmt", ["dense", "csv"])
-    @pytest.mark.parametrize("fault", ["raise", "exit"])
+    @pytest.mark.parametrize("fault", ["raise", "exit", "half-sent"])
     def test_failed_worker_keeps_previous_file(self, tmp_path, monkeypatch, capsys, fault, fmt):
         path = tmp_path / "t"
         save_tensor(path, np.ones((2, 2, 2)), fmt=fmt)
         before = path.read_bytes()
-        _route_every_job_to_pool(monkeypatch, 2)
+        _route_every_job_to_workers(monkeypatch, 2)
         monkeypatch.setattr(data_io, "_format_slabs", _format_in_worker_then(fault))
         error = (ValueError, "formatting failed") if fault == "raise" else (OSError, str(path))
         with pytest.raises(error[0], match=error[1]):
             save_tensor(path, np.zeros((3, 2, 2)), fmt=fmt)
-        if fault == "exit":
+        if fault != "raise":
             # the CLI reports a dead worker as a runtime error naming the file
             argv = ["synth", "--dims", "3", "2", "2", "--rank", "1", "--output", str(path)]
             assert main(argv + ["--format", fmt]) == 4
@@ -1253,6 +1277,6 @@ def test_non_utf8_file_is_parse_error_naming_it(tmp_path, monkeypatch, text, loa
     path.write_bytes(text)
     # in this process, then with the late bad byte in a worker's run
     for cores in (1, 2):
-        _route_every_job_to_pool(monkeypatch, cores)
+        _route_every_job_to_workers(monkeypatch, cores)
         with pytest.raises(ParseError, match=r"in\.txt: not UTF-8 text"):
             load(path)

@@ -6,8 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from lrtc import (
     DimensionError,
+    SolverConfig,
     fold,
     frobenius_norm,
+    solve,
     truncation_for_mode,
     unfold,
 )
@@ -70,6 +72,19 @@ class TestUnfold:
     def test_rejects_non_third_order(self):
         with pytest.raises(DimensionError):
             unfold(np.zeros((2, 2)), 0)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 4), (2, 0, 4), (2, 3, 0)])
+def test_zero_length_dimension_is_refused_everywhere(shape):
+    # one shape rule: what no loader reads back, nothing else takes either
+    calls = [
+        lambda x: unfold(x, 0),
+        frobenius_norm,
+        lambda x: solve(x, np.ones(shape, bool), SolverConfig(theta=0.1)),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionError, match="third-order"):
+            call(np.zeros(shape))
 
 
 class TestFold:
