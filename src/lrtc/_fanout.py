@@ -22,8 +22,8 @@ from concurrent.futures import BrokenExecutor
 # Below this many values a job runs in the calling process: starting and
 # ending the workers (about 10 ms) costs as much as formatting 10k values.
 MIN_VALUES = 2**17
-# What a dead worker raises, worded as the standard process pool words it.
-_DIED = "A process in the process pool was terminated abruptly while the future was running or pending."
+# What a dead worker raises.
+_DIED = "a worker process ended before it sent its result"
 
 
 def workers(values, most):

@@ -1,35 +1,41 @@
 """ADMM solver for tensor completion under truncated nuclear norm minimization.
 
 The consensus formulation carries one tensor ``x_k`` and one dual ``t[k]`` per
-mode plus a shared tensor ``m`` that pins the observed entries. ``solve``
-allocates its state once: the duals as one ``(3, n1, n2, n3)`` array, ``m``, a
-sum buffer ``s`` and a flat work buffer; no two ``x_k`` exist at once. Each
-iteration runs, in order:
+mode plus a shared tensor ``m`` that pins the observed entries. This is the
+scaled-dual ADMM of Boyd et al. (2011, section 3.1.1), and ``solve`` carries
+each dual in the form its SVT consumes, ``z[k] = rho * m - t[k]``. Its state is
+five tensors: the three ``z[k]`` in one buffer, ``m`` and one SVT output; no
+``x_k`` and no ``t[k]`` is ever stored. ``z[1]`` is stored mode-1 first, so
+every unfolding the SVT reads is a view (C order for modes 0 and 1, Fortran
+order for mode 2). Each iteration runs, in order:
 
-1. ``update_x``, per mode k: ``z = rho * m - t[k]`` into the work buffer, in
-   C order for modes 0 and 2 (whose unfoldings are a C and a Fortran view)
-   and mode-1 first for mode 1; ``w_k``, the fold of
-   ``truncated_svt(unfold_k(z), trunc_k, 1/3)``, a view of the SVT output in
-   z's layout; ``s += w_k`` (mode 0 assigns) and ``t[k] += w_k``. Each
-   ``w_k`` reads only the previous m and its own dual;
-2. ``update_m``: ``m_new = s / (3 rho)``, observed entries overwritten with
-   the input;
-3. the convergence ratio, with ``m_new - m_old`` in the old m buffer;
-4. ``update_t``: ``t[k] -= rho * m_new`` via that buffer, which becomes ``s``;
-5. the penalty schedule ``rho = min(rho_mult * rho, rho_max)``.
+1. ``update_x``, per mode k: ``w_k``, the fold of
+   ``truncated_svt(unfold_k(z[k]), trunc_k, 1/3)``, a view of the SVT output
+   in z[k]'s layout, then ``z[k] -= w_k``. Each ``w_k`` reads only its own
+   ``z[k]``; the previous output is freed before the next SVT;
+2. ``update_m``: ``d = m_new - m_old`` into the last SVT output, which is
+   C-ordered like m; ``d = -sum_k z[k] / (3 rho)`` on missing entries and 0 on
+   observed ones; then ``m += d``;
+3. the convergence ratio ``||d|| / ||observed part of y||``;
+4. the penalty schedule ``rho_next = min(rho_mult * rho, rho_max)``;
+5. ``update_t``: ``z[k] += rho_next * m + rho * d``, the m half of the dual
+   step ``t[k] -= rho * m`` and the next iteration's SVT input in one step.
 
 The textbook step thresholds ``m - t[k] / rho`` at ``(1/3) / rho`` to get
 ``x_k``. The SVT is positively homogeneous, ``rho * SVT_tau(z) =
 SVT_{rho tau}(rho z)``, so ``w_k = rho * x_k`` is the SVT of ``rho * m - t[k]``
-at the fixed threshold 1/3, and ``w_k`` is exactly the x half of the dual step.
-This changes the iterates by rounding only; the kernel's noise floor is
-relative to the largest singular value, so it holds for data in any units.
+at the fixed threshold 1/3, and ``w_k`` is exactly the x half of the dual step,
+``t[k] += w_k``, which ``z[k] -= w_k`` applies. This changes the iterates by
+rounding only; the kernel's noise floor is relative to the largest singular
+value, so it holds for data in any units.
 
 The textbook consensus step ``m = mean_k(x_k) + mean_k(t[k]) / rho`` has a dual
 term that is zero: the duals start at zero, and on the missing entries, where
 m is free, the dual step ``t[k] += rho * (x_k - m)`` returns ``sum_k t[k]`` to
 zero in every iteration (observed entries are pinned anyway). Dropping the
-term changes the iterates by rounding only.
+term changes the iterates by rounding only. The same identity gives step 2:
+after ``update_x``, ``sum_k z[k] = 3 rho m_old - sum_k w_k`` on missing
+entries, so ``m_old + d`` is the consensus average ``sum_k w_k / (3 rho)``.
 
 Convergence is declared when the relative change of consecutive recovered
 tensors, ``||m_new - m_old||_F / ||observed part of y||_F``, drops below
@@ -104,32 +110,63 @@ class SolverResult:
     converged: bool = False
 
 
-def update_x(s, work, m, t, rho, truncs):
-    """``s = rho * sum_k x_k`` and ``t[k] += rho * x_k``; ``work`` is a flat ``m.size`` buffer."""
+def update_x(z, truncs):
+    """Per mode, ``w_k = SVT(z[k])`` at 1/3 and ``z[k] -= w_k``; returns the last ``w_k``.
+
+    Each ``w_k`` reads only its own ``z[k]``. The returned tensor is C-ordered
+    like ``m``; the loop reuses it as scratch.
+    """
     tau = 1.0 / len(MODES)  # every mode weighs 1/3; update_m divides by the same count
-    for mode in MODES:
-        z = fold(work.reshape(m.shape[1], -1), 1, m.shape) if mode == 1 else work.reshape(m.shape)
-        np.multiply(m, rho, out=z)
-        z -= t[mode]
-        w = fold(truncated_svt(unfold(z, mode), truncs[mode], tau), mode, m.shape)
-        if mode == 0:
-            s[...] = w
-        else:
-            s += w
-        t[mode] += w
-        del w  # free the SVT output before the next mode's SVT: one tensor less at peak
+    for mode, z_k in zip(MODES, z):
+        w = None  # free the previous output before this SVT allocates its own
+        w = fold(truncated_svt(unfold(z_k, mode), truncs[mode], tau), mode, z_k.shape)
+        z_k -= w
+    return w
 
 
-def update_m(s, y, mask, rho):
-    """Consensus average ``s / (3 rho)`` of the x tensors in place, observed entries pinned to y."""
-    s /= len(MODES) * rho
-    np.putmask(s, mask, y)
+def update_m(m, d, z, missing, rho):
+    """``d = m_new - m`` into the scratch ``d``, then ``m += d``.
+
+    ``d`` is ``-sum_k z[k] / (3 rho)`` on the ``missing`` entries and a zero,
+    of either sign, on observed ones, whose values m keeps.
+    """
+    np.add(z[0], z[1], out=d)
+    d += z[2]
+    np.multiply(d, missing, out=d)
+    d *= -1.0 / (len(MODES) * rho)
+    m += d
 
 
-def update_t(t, m, rho, scratch):
-    """The m half of the dual step in place, ``t[k] -= rho * m``, via ``scratch``."""
-    np.multiply(m, rho, out=scratch)
-    t -= scratch
+def update_t(z, m, d, rho, rho_next):
+    """The dual step and the next iteration's SVT inputs in one:
+    ``z[k] += rho_next * m + rho * d``, with ``d`` overwritten.
+
+    The sum is formed as ``rho_next * (m + (rho / rho_next) * d)`` in ``d``,
+    so the step needs no tensor of its own.
+    """
+    d *= rho / rho_next
+    d += m
+    d *= rho_next
+    for z_k in z:
+        z_k += d
+
+
+def _start_state(m, rho):
+    """The three SVT inputs ``z[k] = rho * m`` (zero duals) in one buffer.
+
+    ``z[1]`` is stored mode-1 first, so its unfolding is a view, as those of
+    ``z[0]`` and ``z[2]`` are.
+    """
+    n1, n2, n3 = m.shape
+    flat = np.empty((3, m.size))
+    z = (
+        flat[0].reshape(m.shape),
+        flat[1].reshape(n2, n1, n3).transpose(1, 0, 2),
+        flat[2].reshape(m.shape),
+    )
+    for z_k in z:
+        np.multiply(m, rho, out=z_k)
+    return z
 
 
 def solve(y, mask, config):
@@ -163,23 +200,22 @@ def solve(y, mask, config):
         raise InvalidInputError("the norm of the observed entries overflows")
 
     truncs = [truncation_for_mode(y.shape, mode, config.theta) for mode in MODES]
-    s = np.empty_like(m)
-    work = np.empty(m.size)
-    t = np.zeros((3, *y.shape))
+    missing = ~mask
+    z = _start_state(m, config.rho0)
     rho = config.rho0
     trace = []
     rho_trace = []
     converged = False
     for it in range(1, config.max_iter + 1):
-        update_x(s, work, m, t, rho, truncs)
-        update_m(s, y, mask, rho)
-        np.subtract(s, m, out=m)
-        ratio = frobenius_norm(m) / obs_norm
-        update_t(t, s, rho, m)
-        m, s = s, m
-        rho = min(config.rho_mult * rho, config.rho_max)
-        if not math.isfinite(rho):
-            raise ConfigError(f"rho overflowed to {rho} at iteration {it}; set a finite rho_max")
+        d = update_x(z, truncs)
+        update_m(m, d, z, missing, rho)
+        ratio = frobenius_norm(d) / obs_norm
+        rho_next = min(config.rho_mult * rho, config.rho_max)
+        if not math.isfinite(rho_next):
+            raise ConfigError(f"rho overflowed to {rho_next} at iteration {it}; set a finite rho_max")
+        update_t(z, m, d, rho, rho_next)
+        del d  # one tensor less at the next SVT
+        rho = rho_next
 
         trace.append(ratio)
         rho_trace.append(rho)
@@ -187,6 +223,8 @@ def solve(y, mask, config):
             converged = True
             break
 
+    # m += d keeps every observed value, but may turn an observed -0.0 into 0.0
+    np.putmask(m, mask, y)
     return SolverResult(
         recovered=m,
         iterations=it,

@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from lrtc import (
     truncation_for_mode,
     unfold,
 )
-from lrtc.solver import update_m, update_t, update_x
+from lrtc.solver import _start_state, update_m, update_t, update_x
 
 
 def small_problem(seed=0, rate=0.4, dims=(12, 9, 15), rank=2):
@@ -88,24 +88,28 @@ def truncs_for(shape, theta):
 
 def mode_step(m, t_k, rho, mode, trunc):
     """One mode's ``w_k = rho * x_k`` from the previous m and its own dual, on fresh tensors."""
-    return fold(truncated_svt(unfold(rho * m - t_k, mode), trunc, 1 / 3), mode, m.shape)
+    return svt_step(rho * m - t_k, mode, trunc)
 
 
-def run_update_x(m, t, rho, truncs):
-    """update_x on buffers it must overwrite: the sum ``rho * sum_k x_k``, with t updated in place."""
-    s = np.full(m.shape, np.nan)
-    update_x(s, np.full(m.size, np.nan), m, t, rho, truncs)
-    return s
+def svt_step(z_k, mode, trunc):
+    """One mode's SVT output ``w_k`` from its own SVT input, on a fresh tensor."""
+    return fold(truncated_svt(unfold(z_k.copy(), mode), trunc, 1 / 3), mode, z_k.shape)
+
+
+def start_z(m, rho):
+    """The SVT inputs at zero duals, ``z[k] = rho * m``, as one plain stack."""
+    return np.stack([rho * m] * 3)
 
 
 class TestStartState:
     """solve starts from the observed entries with zeros elsewhere, zero duals and rho0."""
 
     def first_iteration(self, y, mask, cfg):
-        t = np.zeros((3, *y.shape))
-        s = run_update_x(np.where(mask, y, 0.0), t, cfg.rho0, truncs_for(y.shape, cfg.theta))
-        update_m(s, y, mask, cfg.rho0)
-        return s
+        m = np.where(mask, y, 0.0)
+        z = start_z(m, cfg.rho0)
+        d = update_x(z, truncs_for(y.shape, cfg.theta))
+        update_m(m, d, z, ~mask, cfg.rho0)
+        return m
 
     def test_fully_observed(self):
         y, _ = small_problem()
@@ -118,30 +122,42 @@ class TestStartState:
 
     def test_observed_entries_copied_exactly(self):
         y, mask = small_problem()
+        y[mask.nonzero()[0][0], 0, 0] = -0.0  # a signed zero keeps its sign
+        mask[mask.nonzero()[0][0], 0, 0] = True
         cfg = SolverConfig(theta=0.1, max_iter=1)
         result = solve(y, mask, cfg)
         assert np.array_equal(result.recovered, self.first_iteration(y, mask, cfg))
-        assert np.array_equal(result.recovered[mask], y[mask])
+        assert result.recovered[mask].tobytes() == y[mask].tobytes()
+
+    def test_every_unfolding_of_the_state_is_a_view(self):
+        m = np.arange(24.0).reshape(2, 3, 4)
+        z = _start_state(m, 0.5)
+        for mode in (0, 1, 2):
+            assert np.array_equal(z[mode], 0.5 * m)
+            assert np.shares_memory(unfold(z[mode], mode), z[mode])
 
 
 class TestUpdateX:
-    """update_x leaves rho * sum_k x_k in s and rho * x_k added to each dual t[k]."""
+    """update_x leaves ``z[k] - w_k`` in each z[k], ``w_k = rho * x_k`` its SVT, and returns w_2.
+
+    Before the step ``z[k] = rho * m - t[k]``, so after it ``rho * m - z[k]``
+    is the dual plus the x half of its step, ``t[k] + rho * x_k``.
+    """
 
     def test_zero_shrinkage_limit(self):
         y, _ = small_problem()
         rho = 1e12  # the threshold on m, (1/3) / rho, -> 0
-        t = np.zeros((3, *y.shape))
-        s = run_update_x(y, t, rho, truncs_for(y.shape, 0.1))
-        assert np.allclose(s / rho, 3 * y, rtol=1e-6, atol=3e-6)
+        z = start_z(y, rho)
+        w = update_x(z, truncs_for(y.shape, 0.1))
+        assert np.allclose(w / rho, y, rtol=1e-6, atol=1e-6)
         for mode in (0, 1, 2):
-            assert np.allclose(t[mode] / rho, y, rtol=1e-6, atol=1e-6)
+            assert np.allclose((rho * y - z[mode]) / rho, y, rtol=1e-6, atol=1e-6)
 
     def test_zero_state_stays_zero(self):
-        m = np.zeros((4, 5, 6))
-        t = np.zeros((3, *m.shape))
-        s = run_update_x(m, t, 1.0, truncs_for(m.shape, 0.1))
-        assert np.array_equal(s, np.zeros_like(m))
-        assert np.array_equal(t, np.zeros_like(t))
+        z = np.zeros((3, 4, 5, 6))
+        w = update_x(z, truncs_for(z.shape[1:], 0.1))
+        assert np.array_equal(w, np.zeros(z.shape[1:]))
+        assert np.array_equal(z, np.zeros_like(z))
 
     def test_diagonal_structured_hand_case(self):
         # every unfolding of this tensor has singular values (3, 1); with
@@ -151,13 +167,13 @@ class TestUpdateX:
         m[1, 1, 1] = 1.0
         truncs = truncs_for(m.shape, 0.5)  # ceil(0.5 * 2) = 1 kept per mode
         rho = 1 / 3  # tau = (1/3) / rho = 1
-        t = np.zeros((3, *m.shape))
-        s = run_update_x(m, t, rho, truncs)
+        z = start_z(m, rho)
+        w = update_x(z, truncs)
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = 3.0
-        assert np.allclose(s / rho, 3 * expected, atol=1e-10)
+        assert np.allclose(w / rho, expected, atol=1e-10)
         for mode in (0, 1, 2):
-            x_k = t[mode] / rho
+            x_k = (rho * m - z[mode]) / rho
             assert np.allclose(x_k, expected, atol=1e-10)
             # cross-check against the shrinkage kernel applied directly
             oracle = truncated_svt(unfold(m, mode), 1, 1.0)
@@ -170,85 +186,110 @@ class TestUpdateX:
         truncs = truncs_for(y.shape, 0.1)
         m = np.where(mask, y, 0.0)
         rho = 0.01
-        t = np.stack([0.001 * np.ones_like(y) * (k + 1) for k in range(3)])
-        m_before, t_before = m.copy(), t.copy()
-        s = run_update_x(m, t, rho, truncs)
-        assert np.array_equal(m, m_before)
+        z = np.stack([rho * m - 0.001 * (k + 1) for k in range(3)])
+        z_before = z.copy()
+        w = update_x(z, truncs)
         own = [None] * 3
         for mode in (2, 1, 0):
-            own[mode] = mode_step(m, t_before[mode], rho, mode, truncs[mode])
-            assert np.array_equal(t[mode], t_before[mode] + own[mode])
-        assert np.array_equal(s, sum(own))
-        t_other = t_before.copy()
-        t_other[1] += 5.0
-        run_update_x(m, t_other, rho, truncs)
-        assert np.array_equal(t_other[0], t[0]) and np.array_equal(t_other[2], t[2])
-        assert not np.array_equal(t_other[1] - 5.0, t[1])
+            own[mode] = svt_step(z_before[mode], mode, truncs[mode])
+            assert np.array_equal(z[mode], z_before[mode] - own[mode])
+        assert np.array_equal(w, own[2])
+        z_other = z_before.copy()
+        z_other[1] += 5.0
+        update_x(z_other, truncs)
+        assert np.array_equal(z_other[0], z[0]) and np.array_equal(z_other[2], z[2])
+        assert not np.array_equal(z_other[1] - 5.0, z[1])
 
 
 @st.composite
 def consensus_cases(draw):
     dims = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
-    # signed zeros and, in s, non-finite values, which only an overflow leaves
-    special = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
-    specials = st.sampled_from(special)
-    y = draw(arrays(np.float64, dims, elements=st.one_of(st.floats(-1e300, 1e300), specials)))
-    s = draw(arrays(np.float64, dims, elements=st.one_of(st.floats(), specials)))
+    # signed zeros and extremes; three z terms of up to 1e300 sum to a finite value
+    special = [0.0, -0.0, 5e-324, -1e300]
+    values = st.one_of(st.floats(-1e300, 1e300), st.sampled_from(special))
+    m = draw(arrays(np.float64, dims, elements=values))
+    z = draw(arrays(np.float64, (3, *dims), elements=values))
     rho = draw(st.sampled_from([1e-5, 1.0, 1e5]) | st.floats(1e-5, 1e5))
-    return s, y, draw(arrays(np.bool_, dims)), rho
+    return m, z, draw(arrays(np.bool_, dims)), rho
 
 
 class TestUpdateM:
+    """update_m: ``d = m_new - m``, which is ``-sum_k z[k] / (3 rho)`` on missing entries
+    and 0 on observed ones, then ``m += d``.
+
+    After update_x, ``sum_k z[k] = 3 rho m - sum_k (t[k] + w_k)``, and the
+    duals sum to zero on missing entries, so ``m + d`` is the consensus
+    average ``sum_k w_k / (3 rho)`` there.
+    """
+
     def test_average_of_identical_terms(self):
         y, mask = small_problem(seed=1)
         rho = 2.0
+        m = np.full(y.shape, 1.5)
         common = np.full(y.shape, 2.5)
-        s = rho * (common + common + common)
-        update_m(s, y, mask, rho)
-        assert np.array_equal(s[~mask], common[~mask])
+        z = np.stack([rho * m - rho * common] * 3)  # zero duals, every w_k = rho * common
+        d = np.empty_like(m)
+        update_m(m, d, z, ~mask, rho)
+        assert np.array_equal(m[~mask], common[~mask])
+        assert np.array_equal(d[~mask], (common - 1.5)[~mask])
 
     def test_observed_entries_pinned(self):
         y, mask = small_problem(seed=2)
-        s = np.zeros(y.shape)
-        update_m(s, y, mask, 0.5)
-        assert np.array_equal(s[mask], y[mask])
+        m = np.where(mask, y, 0.0)
+        z = np.random.default_rng(2).standard_normal((3, *y.shape))
+        d = np.empty_like(m)
+        update_m(m, d, z, ~mask, 0.5)
+        assert np.array_equal(m[mask], y[mask])
+        assert not d[mask].any()
 
     @given(case=consensus_cases())
     @settings(max_examples=200, deadline=None)
     def test_matches_masked_average_bit_for_bit(self, case):
-        s, y, mask, rho = case
-        with np.errstate(over="ignore"):  # a huge s over a small rho overflows alike in both
-            expected = np.where(mask, y, s / (3 * rho))
-            update_m(s, y, mask, rho)
-        assert s.tobytes() == expected.tobytes()
+        m, z, mask, rho = case
+        m_before = m.copy()
+        expected = ((z[0] + z[1]) + z[2]) * (-1.0 / (3 * rho))
+        d = np.full_like(m, np.nan)
+        update_m(m, d, z, ~mask, rho)
+        assert d[~mask].tobytes() == expected[~mask].tobytes()
+        assert (m_before + expected)[~mask].tobytes() == m[~mask].tobytes()
+        # zeros, of either sign: the observed entries keep their values
+        assert not d[mask].any()
+        assert np.array_equal(m[mask], m_before[mask])
 
 
 class TestUpdateT:
-    """update_t is the m half of the dual step; update_x adds the x half."""
+    """update_t: ``z[k] += rho_next * m + rho * d``, the m half of the dual step
+    ``t[k] -= rho * m`` and the next SVT input ``rho_next * m - t[k]`` in one."""
 
     def test_zero_residual_keeps_duals(self):
-        y, _ = small_problem(seed=4)
-        rho = 2.0
-        t = np.full((3, *y.shape), 0.25)
-        t += rho * np.stack([y, y, y])  # the x half with every x_k equal to m
-        update_t(t, y, rho, np.empty_like(y))
-        assert np.allclose(t, 0.25, rtol=0, atol=1e-12)
+        # every x_k equals the new m: the dual step leaves each dual at 0.25
+        rng = np.random.default_rng(4)
+        m_old, m = rng.standard_normal((2, 3, 4, 5))
+        rho, rho_next = 2.0, 2.1
+        t_half = 0.25 + rho * m  # the dual plus the x half of its step
+        z = np.stack([rho * m_old - t_half] * 3)
+        update_t(z, m, m - m_old, rho, rho_next)
+        assert np.allclose(rho_next * m - z, 0.25, rtol=0, atol=1e-12)
 
     def test_hand_computed_step(self):
         m = np.ones((2, 3, 4))
-        t = np.full((3, *m.shape), 0.5)
-        update_t(t, m, 2.0, np.empty_like(m))  # 0.5 - 2 * 1
-        assert np.array_equal(t, np.full_like(t, -1.5))
+        z = np.full((3, *m.shape), 0.5)
+        update_t(z, m, np.full(m.shape, 0.5), 2.0, 4.0)  # 0.5 + 4 * 1 + 2 * 0.5
+        assert np.array_equal(z, np.full_like(z, 5.5))
 
     def test_stacked_update_equals_per_mode(self):
         rng = np.random.default_rng(8)
-        m = rng.standard_normal((3, 4, 2))
-        t_list = [rng.standard_normal(m.shape) for _ in range(3)]
-        rho = 1.3
-        per_mode = [t_k - rho * m for t_k in t_list]
-        t = np.stack(t_list)
-        update_t(t, m, rho, np.empty_like(m))
-        assert np.array_equal(t, np.stack(per_mode))
+        m, d = rng.standard_normal((2, 3, 4, 2))
+        z_list = [rng.standard_normal(m.shape) for _ in range(3)]
+        rho, rho_next = 1.3, 1.3 * 1.05
+        per_mode = [z_k + rho_next * (m + (rho / rho_next) * d) for z_k in z_list]
+        z = _start_state(m, 1.0)  # solve's layout: z[1] is stored mode-1 first
+        for z_k, value in zip(z, z_list):
+            z_k[...] = value
+        update_t(z, m, d.copy(), rho, rho_next)
+        assert all(np.array_equal(z_k, expected) for z_k, expected in zip(z, per_mode))
+        textbook = [z_k + rho_next * m + rho * d for z_k in z_list]
+        assert np.allclose(z, textbook, rtol=1e-14, atol=1e-14)
 
 
 class TestSolve:
@@ -356,6 +397,12 @@ class TestSolve:
         cfg = SolverConfig(theta=0.1, rho_mult=1e300, rho_max=float("inf"))
         with pytest.raises(ConfigError, match="iteration 2.*finite rho_max"):
             solve(y, mask, cfg)
+        # the one iteration before it agrees with the oracle
+        first = solve(y, mask, replace(cfg, max_iter=1))
+        m, trace, rho_trace = reference_solve(y, mask, replace(cfg, max_iter=1))
+        assert first.rho_trace == rho_trace == [1e-5 * 1e300]
+        assert frobenius_norm(first.recovered - m) <= 1e-11 * frobenius_norm(m)
+        assert np.allclose(first.trace, trace, rtol=1e-6, atol=0)
 
     def test_clamp_warns_once_per_saturating_mode(self):
         y = synth_lowrank((2, 2, 3), 1, value_offset=1.0, seed=0)
@@ -381,11 +428,11 @@ class TestSolve:
 
 
 def reference_solve(y, mask, cfg):
-    """The iteration in its per-mode list form, one fresh tensor per step.
+    """The iteration on the duals ``t[k]`` in its per-mode list form, one fresh tensor per step.
 
-    The steps are solve's: each mode thresholds ``rho * m - t[k]`` at 1/3,
-    the consensus average has no dual term, and the dual step is split into
-    its x half and its m half.
+    Each mode thresholds ``rho * m - t[k]`` at 1/3, the consensus average
+    has no dual term, and the dual step is split into its x half and its m
+    half. solve carries ``z[k] = rho * m - t[k]`` in place of ``t[k]``.
     """
     truncs = truncs_for(y.shape, cfg.theta)
     m = np.where(mask, y, 0.0)
@@ -445,35 +492,40 @@ class TestSolveLoopInvariants:
     def run_manual(self, y, mask, cfg):
         """Every recovered tensor from the start state on, the last iteration's
         x_k, the trace, and per iteration ``||sum_k t[k] on the missing
-        entries|| / ||t||``."""
+        entries|| / ||t||`` for the implicit duals ``t[k] = rho * m - z[k]``."""
         truncs = truncs_for(y.shape, cfg.theta)
-        ms = [np.where(mask, y, 0.0)]
-        s, work, scratch = np.empty_like(y), np.empty(y.size), np.empty_like(y)
-        t = np.zeros((3, *y.shape))
+        m = np.where(mask, y, 0.0)
+        ms = [m.copy()]
+        z = start_z(m, cfg.rho0)
         rho = cfg.rho0
-        obs_norm = frobenius_norm(ms[0])
+        obs_norm = frobenius_norm(m)
         trace, dual_sums = [], []
         for _ in range(cfg.max_iter):
-            t_prev, rho_prev = t.copy(), rho
-            update_x(s, work, ms[-1], t, rho, truncs)
-            update_m(s, y, mask, rho)
-            ms.append(s.copy())
-            update_t(t, ms[-1], rho, scratch)
+            z_prev, rho_prev = z.copy(), rho
+            d = update_x(z, truncs)
+            update_m(m, d, z, ~mask, rho)
+            ms.append(m.copy())
+            trace.append(frobenius_norm(d) / obs_norm)
             rho = min(cfg.rho_mult * rho, cfg.rho_max)
-            trace.append(frobenius_norm(ms[-1] - ms[-2]) / obs_norm)
+            update_t(z, m, d, rho_prev, rho)
+            t = rho * m - z
             dual_sums.append(np.linalg.norm(t.sum(axis=0)[~mask]) / np.linalg.norm(t))
             if trace[-1] < cfg.epsilon:
                 break
-        x = [mode_step(ms[-2], t_prev[k], rho_prev, k, truncs[k]) / rho_prev for k in range(3)]
+        x = [svt_step(z_prev[k], k, truncs[k]) / rho_prev for k in range(3)]
         return ms, x, trace, dual_sums
 
     def test_manual_loop_matches_solve(self):
         for y, mask, cfg in loop_cases():
-            m, trace, rho_trace = reference_solve(y, mask, cfg)
+            ms, _, trace, _ = self.run_manual(y, mask, cfg)
             result = solve(y, mask, cfg)
-            assert np.array_equal(m, result.recovered)
+            assert np.array_equal(ms[-1], result.recovered)
             assert trace == result.trace
+            # the oracle carries t[k], solve z[k] = rho * m - t[k]: rounding only
+            m, trace, rho_trace = reference_solve(y, mask, cfg)
             assert rho_trace == result.rho_trace
+            assert frobenius_norm(result.recovered - m) <= 1e-11 * frobenius_norm(m)
+            assert np.allclose(result.trace, trace, rtol=1e-6, atol=0)
 
     def test_solve_matches_the_paper_iteration(self):
         # dropping the dual term of the consensus average and splitting the
@@ -488,7 +540,7 @@ class TestSolveLoopInvariants:
             assert np.allclose(result.trace, trace, rtol=1e-6, atol=0)
 
     def test_duals_sum_to_zero_on_missing(self):
-        # the identity that removes the dual term from the consensus average
+        # the identity that gives update_m its consensus average
         y, mask = small_problem(seed=16, dims=(20, 14, 18))
         _, _, trace, dual_sums = self.run_manual(y, mask, SolverConfig(theta=0.15))
         assert len(dual_sums) == len(trace) > 1
@@ -516,11 +568,12 @@ class TestSolveLoopInvariants:
 
 
 def test_peak_memory_of_a_solve():
-    # the duals, m, the x sum and the work buffer (which the SVT reads as a
-    # view) are six tensors; the SVT output adds one more
-    y = synth_lowrank((30, 20, 40), 3, value_offset=10.0, seed=19)
+    # the three SVT inputs, m and one SVT output are five tensors. The
+    # missing-entry mask and the SVT's finiteness check are two mask-sized
+    # arrays; the Gram matrices, factors and traces fit in a third
+    y = synth_lowrank((48, 36, 60), 3, value_offset=10.0, seed=19)
     mask = generate_rm_mask(y.shape, 0.4, seed=519)
-    cfg = SolverConfig(theta=0.1, max_iter=20)
+    cfg = SolverConfig(theta=0.2, max_iter=3)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -529,7 +582,43 @@ def test_peak_memory_of_a_solve():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start <= 8 * y.nbytes
+    assert peak - start <= 5 * y.nbytes + 3 * mask.nbytes
+
+
+def test_lapack_route_matches_the_oracle(monkeypatch):
+    # whole missing fibers leave mode 2's unfolding too ill-conditioned for
+    # the Gram route, so its SVTs run LAPACK
+    y, _ = small_problem(seed=18, dims=(30, 20, 40), rank=3)
+    mask = generate_nm_mask(y.shape, 0.4, seed=518)
+    cfg = SolverConfig(theta=0.1)
+    gram_routes = {}
+    thin_svd = lrtc.shrinkage.thin_svd
+
+    def recording_thin_svd(a, right=True):
+        u, sigma, vt = thin_svd(a, right=right)
+        gram_routes.setdefault(a.shape[0], set()).add(vt is None)
+        return u, sigma, vt
+
+    monkeypatch.setattr(lrtc.shrinkage, "thin_svd", recording_thin_svd)
+    result = solve(y, mask, cfg)
+    assert gram_routes == {30: {True}, 20: {True}, 40: {False}}
+    m, trace, rho_trace = reference_solve(y, mask, cfg)
+    assert (result.iterations, result.rho_trace) == (len(trace), rho_trace)
+    assert frobenius_norm(result.recovered - m) <= 1e-11 * frobenius_norm(m)
+    assert np.allclose(result.trace, trace, rtol=1e-6, atol=0)
+
+
+def test_halrtc_at_the_defaults_stops_after_one_iteration():
+    # a known defect, pinned so that it moves only on purpose: at rho0 = 1e-5
+    # every singular value of rho0 * m lies below the threshold 1/3, so every
+    # SVT output is zero, m does not move and the ratio reads 0
+    y, mask = small_problem(seed=18, dims=(30, 20, 40), rank=3)
+    result = solve_halrtc(y, mask)
+    m, trace, _ = reference_solve(y, mask, SolverConfig(theta=0.0))
+    assert (result.iterations, result.converged, result.trace) == (1, True, [0.0])
+    assert trace == [0.0]
+    assert np.array_equal(result.recovered, m)
+    assert np.array_equal(result.recovered, np.where(mask, y, 0.0))
 
 
 def test_answer_does_not_depend_on_svd_route(monkeypatch):
