@@ -12,15 +12,16 @@ step weights. It, ``svt`` (nothing kept) and ``weighted_svt`` (any weights)
 share one shrink-and-rebuild body. All kernels are pure functions; per-mode
 shrinkages within a solver iteration may run concurrently.
 
-A matrix at least twice as wide as it is tall, or the reverse (every
-unfolding of a location x day x time-of-day tensor is), is factored wide side
-up by ``thin_svd(wide, right=False)``. That takes A's left singular vectors
-``u`` and values ``sigma`` from one ``eigh`` of ``G = A A^T`` and builds no
-right factor, so the kernel rebuilds ``X = u diag(shrunk / sigma) u^T A``.
-Forming ``G`` squares the condition number, so ``thin_svd`` takes this Gram
-route only when ``G`` is finite and ``sigma[-1] > GRAM_RCOND * sigma[0] > 0``;
-any other matrix runs LAPACK once and is rebuilt from its three factors. The
-result has the memory order of the input.
+The kernel turns its matrix A wide side up and takes only A's left singular
+vectors ``u`` and values ``sigma``, from ``thin_svd(wide, right=False)``; it
+builds no right factor and rebuilds ``X = u diag(shrunk / sigma) u^T A``. A
+matrix at least twice as wide as it is tall (every unfolding of a location x
+day x time-of-day tensor is) takes them from one ``eigh`` of ``G = A A^T``.
+Forming ``G`` squares the condition number, so this Gram route is taken only
+when ``G`` is finite and ``sigma[-1] > GRAM_RCOND * sigma[0] > 0``. Any other
+matrix takes them from the QR of its transpose: ``A = R^T Q^T`` has the left
+factor and values of the small ``R^T`` (the R-SVD of Chan 1982). The result
+has the memory order of the input.
 """
 
 import math
@@ -50,10 +51,11 @@ def thin_svd(matrix, right=True):
     """Thin SVD ``(u, sigma, vt)`` with descending, floor-clamped sigma.
 
     By default LAPACK computes all three factors; that is the kernels' oracle.
-    With ``right=False`` a matrix at least twice as wide as it is tall takes
-    ``u`` and ``sigma`` from one ``eigh`` of its Gram matrix and returns
-    ``vt = None``, if that Gram matrix is finite and passes the conditioning
-    guard; any other matrix still gets all three factors from LAPACK.
+    With ``right=False`` only the left factor and the values are computed, and
+    ``vt`` is None. A matrix at least twice as wide as it is tall takes them
+    from one ``eigh`` of its Gram matrix, if that Gram matrix is finite and
+    passes the conditioning guard; any other matrix takes them from the SVD
+    of the small ``R^T`` of ``qr(matrix.T)``.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -68,8 +70,10 @@ def thin_svd(matrix, right=True):
             lam, u = lam[::-1], u[:, ::-1]
             if lam[-1] > GRAM_RCOND**2 * lam[0] > 0:  # then no value is below the floor
                 return u, np.sqrt(lam), None
+    if not right:  # matrix = R^T Q^T has the left factor and values of the small R^T
+        matrix = np.linalg.qr(matrix.T, mode="r").T
     u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
-    return u, np.where(sigma < SIGMA_FLOOR * sigma[:1], 0.0, sigma), vt
+    return u, np.where(sigma < SIGMA_FLOOR * sigma[:1], 0.0, sigma), vt if right else None
 
 
 def check_theta(theta):
@@ -162,11 +166,8 @@ def _shrink(matrix, weights, tau):
     # a zero weight keeps its value even at tau = inf, where tau * 0 is NaN
     penalty = tau * weights if tau < math.inf else np.where(weights > 0, tau, 0.0)
     tall = matrix.shape[0] > matrix.shape[1]
-    u, sigma, vt = thin_svd(matrix.T if tall else matrix, right=False)
+    u, sigma, _ = thin_svd(matrix.T if tall else matrix, right=False)
     shrunk = np.maximum(sigma - penalty, 0.0)
     k = np.count_nonzero(shrunk)  # shrunk is non-increasing: rebuild from its nonzeros
-    if vt is None:
-        p = (u[:, :k] * (shrunk[:k] / sigma[:k])) @ u[:, :k].T
-        return matrix @ p if tall else p @ matrix
-    us = u[:, :k] * shrunk[:k]
-    return vt[:k].T @ us.T if tall else us @ vt[:k]
+    p = (u[:, :k] * (shrunk[:k] / sigma[:k])) @ u[:, :k].T
+    return matrix @ p if tall else p @ matrix

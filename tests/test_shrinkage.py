@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -32,21 +33,37 @@ DIAG31 = np.diag([3.0, 1.0])
 def formula_svt(matrix, trunc, tau, right=False):
     """Truncated SVT as its own formula: shrink ``sigma[trunc:]`` only, then rebuild.
 
-    The factors are ``thin_svd(wide, right)`` of the matrix turned wide side
-    up; ``right=True`` is LAPACK alone, the oracle. Without a right factor
-    (the Gram route) the rebuild is ``u diag(shrunk / sigma) u^T`` times the
+    The left factor and values are ``thin_svd(wide, right)`` of the matrix
+    turned wide side up; ``right=True`` takes them from LAPACK's three-factor
+    SVD, the oracle. The rebuild is ``u diag(shrunk / sigma) u^T`` times the
     matrix.
     """
     tall = matrix.shape[0] > matrix.shape[1]
-    u, sigma, vt = thin_svd(matrix.T if tall else matrix, right)
+    u, sigma, _ = thin_svd(matrix.T if tall else matrix, right)
     shrunk = sigma.copy()
     shrunk[trunc:] = np.maximum(sigma[trunc:] - tau, 0.0)
     k = np.count_nonzero(shrunk)
-    if vt is None:
-        p = (u[:, :k] * (shrunk[:k] / sigma[:k])) @ u[:, :k].T
-        return matrix @ p if tall else p @ matrix
-    us = u[:, :k] * shrunk[:k]
-    return vt[:k].T @ us.T if tall else us @ vt[:k]
+    p = (u[:, :k] * (shrunk[:k] / sigma[:k])) @ u[:, :k].T
+    return matrix @ p if tall else p @ matrix
+
+
+@contextlib.contextmanager
+def counting(*names):
+    """Record each call of ``np.linalg.<name>`` as ``(name, input shape)``.
+
+    ``thin_svd(a, right=False)`` took the Gram route exactly when it made one
+    ``eigh`` call and no other; the QR route makes one ``qr`` and one ``svd``.
+    """
+    calls = []
+    with contextlib.ExitStack() as stack:
+        for name in names:
+
+            def recording(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            stack.enter_context(mock.patch.object(np.linalg, name, recording))
+        yield calls
 
 
 def with_spectrum(rows, cols, sigma, seed):
@@ -142,27 +159,21 @@ class TestThinSvd:
         error = truncated_svt(a, trunc, tau) - (u_ref * shrunk) @ vt_ref
         assert np.linalg.norm(error) <= 1e-9 * np.linalg.norm(a)
 
-    def test_ill_conditioned_falls_back_to_lapack(self, monkeypatch):
-        calls = []
-        for name in ("svd", "eigh"):
-            lapack = getattr(np.linalg, name)
-
-            def counting(a, *args, _name=name, _lapack=lapack, **kwargs):
-                calls.append((_name, a.shape))
-                return _lapack(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+    def test_ill_conditioned_falls_back_to_lapack(self):
         sigma = np.logspace(0, -6, 40)
         a = with_spectrum(40, 400, sigma, seed=31)
-        out = truncated_svt(a, 3, 1e-4)
-        # the Gram matrix's eigh fails the guard; the matrix's own SVD follows, once
-        assert calls == [("eigh", (40, 40)), ("svd", (40, 400))]
-        assert np.array_equal(out, formula_svt(a, 3, 1e-4, right=True))
+        with counting("eigh", "qr", "svd") as calls:
+            out = truncated_svt(a, 3, 1e-4)
+        # the Gram matrix's eigh fails the guard; the QR of the transpose and
+        # the SVD of its small R^T follow, once each, with no SVD of the matrix
+        assert calls == [("eigh", (40, 40)), ("qr", (400, 40)), ("svd", (40, 40))]
+        assert np.array_equal(out, formula_svt(a, 3, 1e-4))
+        assert np.linalg.norm(out - formula_svt(a, 3, 1e-4, right=True)) <= 1e-9 * np.linalg.norm(a)
 
-        calls.clear()
         sigma = np.logspace(0, -3, 40)
         a = with_spectrum(40, 400, sigma, seed=32)
-        out = truncated_svt(a, 3, 1e-2)
+        with counting("eigh", "qr", "svd") as calls:
+            out = truncated_svt(a, 3, 1e-2)
         assert calls == [("eigh", (40, 40))]
         assert np.linalg.norm(out - formula_svt(a, 3, 1e-2, right=True)) <= 1e-9 * np.linalg.norm(a)
 
@@ -202,35 +213,38 @@ class TestThinSvd:
         a = with_spectrum(*shape, sigma_in, seed)
         if fortran:
             a = np.ascontiguousarray(a.T).T
-        u_ref, sigma_ref, vt_ref = thin_svd(a)
+        u_ref, sigma_ref, _ = thin_svd(a)
 
-        u, sigma, vt = thin_svd(a, right=False)
+        with counting("eigh", "svd") as calls:
+            u, sigma, vt = thin_svd(a, right=False)
+        assert vt is None
         gram = 0 < 2 * shape[0] <= shape[1] and sigma_in[-1] > lrtc.shrinkage.GRAM_RCOND * sigma_in[0]
-        assert (vt is None) == gram
-        if not gram:  # one LAPACK call, the oracle's
-            for got, ref in zip((u, sigma, vt), (u_ref, sigma_ref, vt_ref)):
-                assert np.array_equal(got, ref)
-            return
+        assert (calls == [("eigh", (shape[0], shape[0]))]) == gram
+        # either route: one left factor and values, held to the same bounds
         assert sigma.shape == sigma_ref.shape and (np.diff(sigma) <= 0).all()
         assert np.abs(sigma - sigma_ref).max() <= 1e-9 * sigma_ref[0]
         kept = u[:, :k] @ u[:, :k].T - u_ref[:, :k] @ u_ref[:, :k].T
         assert np.abs(kept).max() <= 1e-9 * sigma_ref[0]
 
-    def test_left_factor_route_refusals(self, monkeypatch):
+    def test_left_factor_route_refusals(self):
         with pytest.raises(InvalidInputError):
             thin_svd(np.array([[1.0, np.inf, 0.0]]), right=False)
 
-        def no_eigh(*args, **kwargs):
-            raise AssertionError("the Gram route was entered")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        # a finite matrix whose Gram matrix overflows gets LAPACK's factors
+        # a finite matrix whose Gram matrix overflows takes the QR route,
+        # and its left factor is LAPACK's up to the signs of its columns
         a = with_spectrum(4, 12, [3.0, 2.0, 1.0, 0.5], seed=33) * 1e200
-        for got, ref in zip(thin_svd(a, right=False), thin_svd(a)):
-            assert np.array_equal(got, ref)
+        u_ref, sigma_ref, _ = thin_svd(a)
+        with counting("eigh", "qr", "svd") as calls:
+            u, sigma, vt = thin_svd(a, right=False)
+        assert calls == [("qr", (12, 4)), ("svd", (4, 4))]
+        assert vt is None
+        assert np.abs(sigma - sigma_ref).max() <= 1e-9 * sigma_ref[0]
+        assert np.abs(np.abs(u.T @ u_ref) - np.eye(4)).max() <= 1e-9
         # an empty matrix is 2:1 wide, but has no Gram matrix to factor
-        u, sigma, vt = thin_svd(np.zeros((0, 5)), right=False)
-        assert (u.shape, sigma.shape, vt.shape) == ((0, 0), (0,), (0, 5))
+        with counting("eigh") as calls:
+            u, sigma, vt = thin_svd(np.zeros((0, 5)), right=False)
+        assert calls == []
+        assert (u.shape, sigma.shape, vt) == ((0, 0), (0,), None)
 
 
 class TestTruncationForMode:
@@ -315,15 +329,19 @@ class TestTruncatedSvt:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_formula_bit_for_bit(self, rows, cols, kind, seed, trunc_frac, tau):
         # both orientations on both routes: as thin_svd chooses, which for a
-        # matrix at least 2:1 and well conditioned is the Gram route, and on
-        # LAPACK alone, which this guard forces; tau = inf shrinks all but the
-        # kept values to zero
+        # matrix at least 2:1 and of full rank is the Gram route, and on the
+        # QR route alone, which this guard forces; tau = inf shrinks all but
+        # the kept values to zero
         p = min(rows, cols)
         z = with_spectrum(rows, cols, spectrum(kind, p, np.random.default_rng(seed)), seed)
         trunc = int(trunc_frac * p)
-        assert np.array_equal(truncated_svt(z, trunc, tau), formula_svt(z, trunc, tau))
-        with mock.patch.object(lrtc.shrinkage, "GRAM_RCOND", 2.0):
-            assert np.array_equal(truncated_svt(z, trunc, tau), formula_svt(z, trunc, tau, right=True))
+        full_rank = kind in ("random", "repeated")
+        for rcond, gram in ((lrtc.shrinkage.GRAM_RCOND, 2 * p <= max(rows, cols) and full_rank), (2.0, False)):
+            with mock.patch.object(lrtc.shrinkage, "GRAM_RCOND", rcond):
+                with counting("eigh", "svd") as calls:
+                    out = truncated_svt(z, trunc, tau)
+                assert (calls == [("eigh", (p, p))]) == gram
+                assert np.array_equal(out, formula_svt(z, trunc, tau))
 
     @pytest.mark.parametrize("rcond", [lrtc.shrinkage.GRAM_RCOND, 2.0])
     def test_keeps_the_memory_order(self, monkeypatch, rcond):

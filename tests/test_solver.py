@@ -21,6 +21,7 @@ from lrtc import (
     solve,
     solve_halrtc,
     synth_lowrank,
+    thin_svd,
     truncated_svt,
     truncation_for_mode,
     unfold,
@@ -567,12 +568,14 @@ class TestSolveLoopInvariants:
             assert not (current - previous)[mask].any()
 
 
-def test_peak_memory_of_a_solve():
+@pytest.mark.parametrize("pattern", [generate_rm_mask, generate_nm_mask], ids=["rm", "nm"])
+def test_peak_memory_of_a_solve(pattern):
     # the three SVT inputs, m and one SVT output are five tensors. The
     # missing-entry mask and the SVT's finiteness check are two mask-sized
-    # arrays; the Gram matrices, factors and traces fit in a third
+    # arrays; the Gram matrices, factors and traces fit in a third. The NM
+    # mask sends mode 2 to the QR route at every iteration
     y = synth_lowrank((48, 36, 60), 3, value_offset=10.0, seed=19)
-    mask = generate_rm_mask(y.shape, 0.4, seed=519)
+    mask = pattern(y.shape, 0.4, seed=519)
     cfg = SolverConfig(theta=0.2, max_iter=3)
     tracemalloc.start()
     try:
@@ -585,22 +588,48 @@ def test_peak_memory_of_a_solve():
     assert peak - start <= 5 * y.nbytes + 3 * mask.nbytes
 
 
-def test_lapack_route_matches_the_oracle(monkeypatch):
-    # whole missing fibers leave mode 2's unfolding too ill-conditioned for
-    # the Gram route, so its SVTs run LAPACK
-    y, _ = small_problem(seed=18, dims=(30, 20, 40), rank=3)
-    mask = generate_nm_mask(y.shape, 0.4, seed=518)
-    cfg = SolverConfig(theta=0.1)
-    gram_routes = {}
-    thin_svd = lrtc.shrinkage.thin_svd
+def record_svd_routes(monkeypatch):
+    """Record each SVT's factorisation as (shape, Gram route taken, guard passes).
+
+    The kernel factors its unfolding, turned wide side up, once with
+    ``right=False``: the Gram route makes one ``eigh`` call and no other, the
+    QR route one SVD of the small ``R^T``. The last field is whether the
+    unfolding's conditioning passes the Gram route's guard.
+    """
+    calls, linalg = [], []
+    for name in ("eigh", "svd"):
+
+        def counting(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            linalg.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
 
     def recording_thin_svd(a, right=True):
+        assert not right
+        linalg.clear()
         u, sigma, vt = thin_svd(a, right=right)
-        gram_routes.setdefault(a.shape[0], set()).add(vt is None)
+        assert vt is None
+        gram = linalg == ["eigh"]
+        sv = np.linalg.svd(a, compute_uv=False)
+        calls.append((a.shape, gram, sv[-1] > lrtc.shrinkage.GRAM_RCOND * sv[0]))
         return u, sigma, vt
 
     monkeypatch.setattr(lrtc.shrinkage, "thin_svd", recording_thin_svd)
+    return calls
+
+
+def test_lapack_route_matches_the_oracle(monkeypatch):
+    # whole missing fibers leave mode 2's unfolding too ill-conditioned for
+    # the Gram route, so its SVTs take the QR route
+    y, _ = small_problem(seed=18, dims=(30, 20, 40), rank=3)
+    mask = generate_nm_mask(y.shape, 0.4, seed=518)
+    cfg = SolverConfig(theta=0.1)
+    calls = record_svd_routes(monkeypatch)
     result = solve(y, mask, cfg)
+    gram_routes = {}
+    for shape, gram, _ in calls:
+        gram_routes.setdefault(shape[0], set()).add(gram)
     assert gram_routes == {30: {True}, 20: {True}, 40: {False}}
     m, trace, rho_trace = reference_solve(y, mask, cfg)
     assert (result.iterations, result.rho_trace) == (len(trace), rho_trace)
@@ -641,19 +670,7 @@ def test_answer_does_not_depend_on_svd_route(monkeypatch):
         for pattern in (generate_rm_mask, generate_nm_mask)
         for cfg in data_configs
     ]
-    # every SVT factors its unfolding, turned wide side up, once with
-    # right=False; per call: shape, Gram route taken, conditioning passes the guard
-    calls = []
-    thin_svd = lrtc.shrinkage.thin_svd
-
-    def recording_thin_svd(a, right=True):
-        assert not right
-        u, sigma, vt = thin_svd(a, right=right)
-        sv = np.linalg.svd(a, compute_uv=False)
-        calls.append((a.shape, vt is None, sv[-1] > lrtc.shrinkage.GRAM_RCOND * sv[0]))
-        return u, sigma, vt
-
-    monkeypatch.setattr(lrtc.shrinkage, "thin_svd", recording_thin_svd)
+    calls = record_svd_routes(monkeypatch)
     results = []
     for data, mask, cfg, _, _ in cases:
         calls.clear()
@@ -670,13 +687,20 @@ def test_answer_does_not_depend_on_svd_route(monkeypatch):
                 assert gram == [iterations] * 3
             else:  # NM: whole missing fibers leave mode 2's unfolding low rank
                 assert gram[1:] == [iterations, 0]
-    # no condition number passes this guard: every SVT runs LAPACK on its unfolding
+    # no condition number passes this guard: every SVT takes the QR route
     monkeypatch.setattr(lrtc.shrinkage, "GRAM_RCOND", 2.0)
-    for (data, mask, cfg, answer_rtol, trace_atol), result in zip(cases, results):
+    qr_results = []
+    for data, mask, cfg, _, _ in cases:
         calls.clear()
-        oracle = solve(data, mask, cfg)
+        qr_results.append(solve(data, mask, cfg))
         assert not any(g for _, g, _ in calls)
-        assert (result.iterations, result.converged) == (oracle.iterations, oracle.converged)
-        error = frobenius_norm(result.recovered - oracle.recovered)
-        assert error <= answer_rtol * frobenius_norm(oracle.recovered)
-        assert np.allclose(result.trace, oracle.trace, rtol=0, atol=trace_atol)
+    # the oracle: every SVT takes its left factor and values from LAPACK's
+    # three-factor SVD of the unfolding
+    monkeypatch.setattr(lrtc.shrinkage, "thin_svd", lambda a, right=True: thin_svd(a))
+    for (data, mask, cfg, answer_rtol, trace_atol), *routes in zip(cases, results, qr_results):
+        oracle = solve(data, mask, cfg)
+        for result in routes:
+            assert (result.iterations, result.converged) == (oracle.iterations, oracle.converged)
+            error = frobenius_norm(result.recovered - oracle.recovered)
+            assert error <= answer_rtol * frobenius_norm(oracle.recovered)
+            assert np.allclose(result.trace, oracle.trace, rtol=0, atol=trace_atol)
