@@ -68,9 +68,8 @@ from .tensor_ops import _check_pair, _check_tensor3, _is_integer
 FORMATS = ("dense", "csv")
 
 
-# More chunks than workers, so that a worker that finishes early takes
-# another, and the writer writes early chunks while the workers format later
-# ones.
+# More chunks than workers, so that the parent writes early chunks while the
+# workers format later ones.
 _CHUNKS_PER_WORKER = 4
 # A dense body of more bytes than this per value its header promises goes to
 # the line parser, which stops one value past the count: the ``repr`` of a

@@ -1,16 +1,14 @@
 """Imputation accuracy metrics on held-out entries.
 
-MAPE divides by the truth, so entries whose truth is (numerically) zero are
-excluded from it; RMSE keeps every entry. Both raise when the evaluation set
-is empty, because a silent 0.0 would read as a perfect score.
+MAPE divides by the truth, so entries whose truth is exactly zero are
+excluded from it; any other threshold would depend on the data's units. RMSE
+keeps every entry. Both raise when the evaluation set is empty, because a
+silent 0.0 would read as a perfect score.
 """
 
 import numpy as np
 
 from .errors import DegenerateProblemError, DimensionError
-
-# |truth| at or below this contributes nothing to MAPE.
-ZERO_THRESHOLD = 1e-9
 
 
 def _check_pair(truth, estimate):
@@ -28,7 +26,7 @@ def _check_pair(truth, estimate):
 def mape(truth, estimate):
     """Mean absolute percentage error, in percent, over nonzero-truth entries."""
     truth, estimate = _check_pair(truth, estimate)
-    keep = np.abs(truth) > ZERO_THRESHOLD
+    keep = truth != 0.0
     if not keep.any():
         raise DegenerateProblemError(
             "every ground-truth value is zero; MAPE is undefined"

@@ -21,7 +21,9 @@ Forming ``G`` squares the condition number, so this Gram route is taken only
 when ``G`` is finite and ``sigma[-1] > GRAM_RCOND * sigma[0] > 0``. Any other
 matrix takes them from the QR of its transpose: ``A = R^T Q^T`` has the left
 factor and values of the small ``R^T`` (the R-SVD of Chan 1982). The result
-has the memory order of the input.
+has the memory order of the input. A non-finite matrix raises
+``InvalidInputError``, and so does a finite one whose ``R`` overflows the
+float range, where LAPACK's SVD would fail to converge.
 """
 
 import math
@@ -56,22 +58,31 @@ def thin_svd(matrix, right=True):
     from one ``eigh`` of its Gram matrix, if that Gram matrix is finite and
     passes the conditioning guard; any other matrix takes them from the SVD
     of the small ``R^T`` of ``qr(matrix.T)``.
+
+    A matrix with a NaN or infinite entry raises ``InvalidInputError``. With
+    ``right=False`` so does a finite one whose ``R`` is not finite, where
+    LAPACK's SVD would fail to converge; a largest singular value past the
+    float range, from a finite ``R``, is returned as inf.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got ndim={matrix.ndim}")
-    if not np.isfinite(matrix).all():
-        raise InvalidInputError("matrix contains non-finite entries")
     if not right and 0 < 2 * matrix.shape[0] <= matrix.shape[1]:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow falls back below
             gram = matrix @ matrix.T
+        # a NaN or infinity in a row of matrix lands on gram's diagonal, so a
+        # finite gram is also the input check
         if np.isfinite(gram).all():
             lam, u = np.linalg.eigh(gram)
             lam, u = lam[::-1], u[:, ::-1]
             if lam[-1] > GRAM_RCOND**2 * lam[0] > 0:  # then no value is below the floor
                 return u, np.sqrt(lam), None
+    if not np.isfinite(matrix).all():
+        raise InvalidInputError("matrix contains non-finite entries")
     if not right:  # matrix = R^T Q^T has the left factor and values of the small R^T
         matrix = np.linalg.qr(matrix.T, mode="r").T
+        if not np.isfinite(matrix).all():
+            raise InvalidInputError("the norm of the matrix overflows")
     u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
     return u, np.where(sigma < SIGMA_FLOOR * sigma[:1], 0.0, sigma), vt if right else None
 

@@ -182,10 +182,13 @@ def solve(y, mask, config):
 
     Returns
     -------
-    SolverResult. Non-convergence within ``max_iter`` is reported via
-    ``converged=False``, never raised. A penalty that overflows to infinity
-    (possible only with ``rho_max = inf``) raises ``ConfigError``; observed
-    entries whose norm overflows raise ``InvalidInputError``.
+    SolverResult, whose ``recovered`` and ``trace`` are finite.
+    Non-convergence within ``max_iter`` is reported via ``converged=False``,
+    never raised. A penalty that overflows to infinity (possible only with
+    ``rho_max = inf``) raises ``ConfigError``. Observed entries whose norm
+    overflows raise ``InvalidInputError``, and so do iterates that overflow
+    the float range (data or ``rho0`` too large): an SVT input whose norm
+    overflows, or a consensus step that is not finite, named by its iteration.
     """
     y, mask = _check_pair(y, mask)
     if not mask.any():
@@ -210,6 +213,8 @@ def solve(y, mask, config):
         d = update_x(z, truncs)
         update_m(m, d, z, missing, rho)
         ratio = frobenius_norm(d) / obs_norm
+        if not math.isfinite(ratio):
+            raise InvalidInputError(f"the iterates overflowed at iteration {it}; scale the data or rho0 down")
         rho_next = min(config.rho_mult * rho, config.rho_max)
         if not math.isfinite(rho_next):
             raise ConfigError(f"rho overflowed to {rho_next} at iteration {it}; set a finite rho_max")

@@ -245,6 +245,30 @@ class TestThinSvd:
             u, sigma, vt = thin_svd(np.zeros((0, 5)), right=False)
         assert calls == []
         assert (u.shape, sigma.shape, vt) == ((0, 0), (0,), None)
+        # a finite matrix whose norm overflows has a non-finite R
+        a = np.random.default_rng(33).choice([-1e308, 1e308], (4, 12))
+        with counting("eigh", "qr", "svd") as calls:
+            with pytest.raises(InvalidInputError, match="norm of the matrix overflows"):
+                thin_svd(a, right=False)
+        assert calls == [("qr", (12, 4))]
+
+    def test_gram_route_scans_only_the_gram_matrix(self):
+        # a NaN or infinity in a row lands on the Gram matrix's diagonal, so
+        # its finiteness is the input check, and the matrix is not scanned
+        real, shapes = np.isfinite, []
+
+        def recording(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return real(x, *args, **kwargs)
+
+        a = with_spectrum(4, 12, [3.0, 2.0, 1.0, 0.5], seed=33)
+        with mock.patch.object(np, "isfinite", recording):
+            thin_svd(a, right=False)
+            assert shapes == [(4, 4)]
+            for bad in (np.nan, np.inf, -np.inf):
+                a[2, 5] = bad
+                with pytest.raises(InvalidInputError, match="non-finite entries"):
+                    thin_svd(a, right=False)
 
 
 class TestTruncationForMode:

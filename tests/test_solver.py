@@ -392,6 +392,38 @@ class TestSolve:
         with pytest.raises(InvalidInputError, match="norm of the observed entries overflows"):
             solve(y, mask, SolverConfig(theta=0.1))
 
+    def test_overflowing_iterates_are_refused_by_name(self):
+        # finite data whose first SVT input has a norm past the float range
+        # (1e303 * rho0 = 1e306), and one whose first consensus step does
+        y = synth_lowrank((30, 20, 40), 3, value_offset=10.0, seed=1)
+        mask = generate_rm_mask(y.shape, 0.4, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="norm of the matrix overflows"):
+                solve(y * 1e303, mask, SolverConfig(theta=0.1, rho0=1e3, rho_max=1e5))
+            with pytest.raises(InvalidInputError, match="overflowed at iteration 1;"):
+                solve(y * 3e300, mask, SolverConfig(theta=0.1, rho0=1e5, max_iter=1))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5])
+    def test_a_solve_is_finite_or_refused(self, max_iter):
+        # near the top of the float range some iterate overflows for some
+        # rho0; a solve then refuses with InvalidInputError, never with a
+        # numpy error or a non-finite answer
+        y = synth_lowrank((30, 20, 40), 3, value_offset=10.0, seed=1)
+        mask = generate_rm_mask(y.shape, 0.4, seed=1)
+        outcomes = set()
+        for scale in [c * 10.0**e for e in range(296, 307) for c in (1, 3)]:
+            for rho0 in (1e-5, 1e-1, 1e3, 1e5):
+                cfg = SolverConfig(theta=0.1, rho0=rho0, max_iter=max_iter)
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):  # pyproject makes them errors
+                        result = solve(y * scale, mask, cfg)
+                except InvalidInputError:
+                    outcomes.add("refused")
+                else:
+                    assert np.isfinite(result.recovered).all() and np.isfinite(result.trace).all()
+                    outcomes.add("finite")
+        assert outcomes == {"refused", "finite"}
+
     def test_rho_overflow_is_config_error(self):
         # 1e-5 * 1e300 = 1e295, then inf: the second step overflows
         y, mask = small_problem(seed=10)
